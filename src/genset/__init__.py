@@ -22,7 +22,6 @@ from .families import (
 from .generate import (
     Decomposition,
     GeneratorVerdict,
-    count_disjoint_tuples,
     decompose,
     is_k_base,
     is_k_generator,
@@ -35,6 +34,7 @@ from .graphs import (
     Graph,
     clique_density,
     count_cliques,
+    count_disjoint_tuples,
     dense_subset_fraction,
     disjointness_graph,
     erdos_max_check,

@@ -22,7 +22,7 @@ from .families import (
     canonical_size,
     trivial_lower_bound,
 )
-from .generate import count_disjoint_tuples
+from .graphs import count_disjoint_tuples
 
 DEFAULT_PRECISION_BITS = 113
 DEFAULT_EXACT_BUDGET = 2_000_000

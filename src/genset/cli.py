@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -42,8 +41,6 @@ def _jsonable(value):
         if value.precision_bits is not None:
             out["precision_bits"] = value.precision_bits
         return out
-    if isinstance(value, float):
-        return value
     return value
 
 
@@ -64,7 +61,11 @@ def _read_graph(path: str) -> graph_mod.Graph:
 def _parse_set(text: str, n: int) -> int:
     if text == "-":
         return 0
-    return fam_mod.mask_from_elements((int(tok) for tok in text.split(",")), n)
+    try:
+        elements = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise FamilyFormatError(f"bad set {text!r}")
+    return fam_mod.mask_from_elements(elements, n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--no-meta", action="store_true", help="omit the timestamped meta record")
     parser.add_argument("--config", help="key=value file overriding cap defaults")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (GENSET_THREADS fallback); evaluation is deterministic either way")
     parser.add_argument("--dp-cap", type=int, default=gen_mod.DEFAULT_DP_CAP,
                         help="max n for the 2^n disjoint-union table")
     parser.add_argument("--base-cap", type=int, default=gen_mod.DEFAULT_BASE_CAP,
@@ -192,9 +191,12 @@ def _apply_config(args) -> None:
                 continue
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in {"dp_cap", "base_cap", "graph_cap", "node_budget", "time_budget", "threads"}:
+            if key not in {"dp_cap", "base_cap", "graph_cap", "node_budget", "time_budget"}:
                 raise GensetError(f"unknown config key {key!r}")
-            setattr(args, key, float(val) if key == "time_budget" else int(val))
+            try:
+                setattr(args, key, float(val) if key == "time_budget" else int(val))
+            except ValueError:
+                raise GensetError(f"bad value {val.strip()!r} for config key {key!r}")
 
 
 def _cmd_construct(args) -> int:
@@ -211,21 +213,25 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check(args) -> int:
     fam = _read_family(args.family)
+    target = None if args.decompose is None else _parse_set(args.decompose, fam.n)
     status = EXIT_OK
+    layers = None
     if args.base:
         verdict = gen_mod.is_k_base(fam, args.k, base_cap=args.base_cap)
         op = "is_k_base"
     else:
-        verdict = gen_mod.is_k_generator(fam, args.k, dp_cap=args.dp_cap)
+        layers = gen_mod.reachable_layers(fam, args.k, dp_cap=args.dp_cap)
+        verdict = gen_mod.verdict_from_layers(layers, fam.n)
         op = "is_k_generator"
     record = {"op": op, "k": args.k, "holds": verdict.holds}
     if not verdict.holds:
         record["counterexample"] = fam_mod.format_mask(verdict.counterexample)
         status = EXIT_PROPERTY_FAIL
     _emit(record)
-    if args.decompose is not None:
-        target = _parse_set(args.decompose, fam.n)
-        dec = gen_mod.decompose(fam, args.k, target, dp_cap=args.dp_cap)
+    if target is not None:
+        if layers is None:
+            layers = gen_mod.reachable_layers(fam, args.k, dp_cap=args.dp_cap)
+        dec = gen_mod.decompose(fam, layers, target)
         rec = {"op": "decompose", "target": fam_mod.format_mask(target), "found": dec is not None}
         if dec is not None:
             rec["parts"] = [fam_mod.format_mask(p) for p in dec.parts]
@@ -291,7 +297,9 @@ def _cmd_graph(args) -> int:
     if args.count_cliques is not None:
         record[f"k{args.count_cliques}_count"] = graph_mod.count_cliques(g, args.count_cliques)
     if args.density is not None:
-        record[f"k{args.density}_density"] = _jsonable(graph_mod.clique_density(g, args.density))
+        known = record.get(f"k{args.density}_count")
+        density = graph_mod.clique_density(g, args.density, count=known)
+        record[f"k{args.density}_density"] = _jsonable(density)
     if args.emit:
         with open(args.emit, "w") as fh:
             fh.write(graph_mod.format_graph(g))
@@ -438,8 +446,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-        if args.threads is None:
-            args.threads = int(os.environ.get("GENSET_THREADS", "1"))
         if not args.no_meta:
             _emit({"meta": {"tool": "genset", "version": __version__, "timestamp": time.time()}})
         return _COMMANDS[args.command](args)
@@ -452,7 +458,7 @@ def main(argv=None) -> int:
     except GensetError as exc:
         print(f"genset: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"genset: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -72,9 +72,6 @@ class SetFamily:
     def m(self) -> int:
         return len(self.members)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
-
 
 def make_family(n: int, masks) -> SetFamily:
     """Sorted, deduplicated family; the count of duplicates dropped is recorded."""

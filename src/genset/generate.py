@@ -15,14 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapExceeded, GensetError, WorkLimitExceeded
+from .errors import CapExceeded, GensetError
 from .families import SetFamily, SubsetMask, check_mask
 
 # Tables of 2^n bits per layer; 26 -> 8 MiB per layer.
 DEFAULT_DP_CAP = 26
 # The base check builds k numpy arrays of 2^n int64 entries.
 DEFAULT_BASE_CAP = 18
-DEFAULT_WORK_LIMIT = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -93,34 +92,33 @@ def reachable_layers(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> li
     return layers
 
 
-def _smallest_unset(bitmap: int, size: int) -> int:
-    inv = ~bitmap & ((1 << size) - 1)
-    return (inv & -inv).bit_length() - 1
-
-
-def is_k_generator(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> GeneratorVerdict:
-    """Does every subset of [n] split into at most k disjoint members?
+def verdict_from_layers(layers: list[int], n: int) -> GeneratorVerdict:
+    """The k-generator verdict read off the top layer of a reachable_layers table.
 
     On failure the counterexample is the numerically smallest uncovered mask.
     """
-    layers = reachable_layers(fam, k, dp_cap=dp_cap)
-    size = 1 << fam.n
-    covered = layers[min(k, len(layers) - 1)]
-    if covered == (1 << size) - 1:
+    full = (1 << (1 << n)) - 1
+    covered = layers[-1]
+    if covered == full:
         return GeneratorVerdict(True)
-    return GeneratorVerdict(False, _smallest_unset(covered, size))
+    uncovered = ~covered & full
+    return GeneratorVerdict(False, (uncovered & -uncovered).bit_length() - 1)
 
 
-def decompose(
-    fam: SetFamily, k: int, x: SubsetMask, dp_cap: int = DEFAULT_DP_CAP
-) -> Optional[Decomposition]:
+def is_k_generator(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> GeneratorVerdict:
+    """Does every subset of [n] split into at most k disjoint members?"""
+    return verdict_from_layers(reachable_layers(fam, k, dp_cap=dp_cap), fam.n)
+
+
+def decompose(fam: SetFamily, layers: list[int], x: SubsetMask) -> Optional[Decomposition]:
     """A witness split of x into at most k disjoint nonempty members, if one exists.
 
-    Greedy largest-first over the DP layers; parts are returned in descending
-    mask order. Returns None when x is not expressible.
+    layers is the table reachable_layers(fam, k). Greedy largest-first over
+    its layers; parts are returned in descending mask order. Returns None
+    when x is not expressible.
     """
     check_mask(x, fam.n)
-    layers = reachable_layers(fam, k, dp_cap=dp_cap)
+    k = len(layers) - 1
     if not (layers[k] >> x) & 1:
         return None
     members_desc = sorted((g for g in fam.members if g), reverse=True)
@@ -189,36 +187,3 @@ def is_k_base(fam: SetFamily, k: int, base_cap: int = DEFAULT_BASE_CAP) -> Gener
     if covered.all():
         return GeneratorVerdict(True)
     return GeneratorVerdict(False, int(np.flatnonzero(~covered)[0]))
-
-
-def count_disjoint_tuples(
-    fam: SetFamily, k: int, work_limit: int = DEFAULT_WORK_LIMIT
-) -> int:
-    """Number of unordered tuples of at most k pairwise disjoint distinct members.
-
-    The empty tuple counts once (it generates the empty set). The empty set,
-    if a member, is disjoint from everything and participates normally.
-    """
-    if k < 0:
-        raise GensetError("k must be >= 0")
-    members = fam.members
-    m = len(members)
-    work = 0
-
-    def rec(start: int, used: int, left: int) -> int:
-        nonlocal work
-        total = 1
-        if left == 0:
-            return total
-        for j in range(start, m):
-            work += 1
-            if work > work_limit:
-                raise WorkLimitExceeded(
-                    f"disjoint-tuple enumeration exceeded {work_limit} steps"
-                )
-            g = members[j]
-            if g & used == 0:
-                total += rec(j + 1, used | g, left - 1)
-        return total
-
-    return rec(0, 0, min(k, m))

@@ -1,4 +1,4 @@
-"""Disjointness (Kneser) graphs, exact clique counting, Turán densities, and blow-ups.
+"""Disjointness (Kneser) graphs, exact clique and disjoint-tuple counts, Turán densities, blow-ups.
 
 Adjacency is one int bit row per vertex; all counting is exact.
 """
@@ -86,17 +86,17 @@ def degeneracy_order(graph: Graph) -> list[int]:
     return order
 
 
-def count_cliques(
-    graph: Graph, r: int, work_limit: int = DEFAULT_CLIQUE_WORK_LIMIT
-) -> int:
-    """Exact number of r-cliques, by forward-neighborhood intersection along a degeneracy order."""
-    if r < 1:
-        raise GensetError("r must be >= 1")
+def _clique_profile(graph: Graph, r: int, work_limit: int) -> list[int]:
+    """[1, m, K_2 count, ..., K_r count] from one walk along a degeneracy order.
+
+    walk(rest, size) takes a clique of `size` vertices and their common forward
+    neighbors rest. Adding a vertex v of rest leaves ext common forward
+    neighbors, so ext's popcount tallies the (size+2)-cliques; the walk
+    descends only while that size is below r.
+    """
     m = graph.m
-    if r == 1:
-        return m
-    if r == 2:
-        return graph.edge_count()
+    if r <= 2:
+        return [1, m, graph.edge_count()][: r + 1]
     order = degeneracy_order(graph)
     pos = {v: i for i, v in enumerate(order)}
     # Rows relabeled to order positions, keeping only forward neighbors.
@@ -112,31 +112,64 @@ def count_cliques(
             if j > i:
                 acc |= 1 << j
         fwd[i] = acc
+    profile = [1, m] + [0] * (r - 1)
     work = 0
 
-    def count(cand: int, need: int) -> int:
+    def walk(rest: int, size: int) -> None:
         nonlocal work
-        if need == 1:
-            return cand.bit_count()
-        total = 0
-        rest = cand
         while rest:
             v = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             work += 1
             if work > work_limit:
                 raise WorkLimitExceeded("clique counting exceeded its work limit")
-            total += count(fwd[v] & rest, need - 1)
-        return total
+            ext = fwd[v] & rest
+            profile[size + 2] += ext.bit_count()
+            if size + 2 < r:
+                walk(ext, size + 1)
 
-    return sum(count(fwd[v], r - 1) for v in range(m))
+    walk((1 << m) - 1, 0)
+    return profile
 
 
-def clique_density(graph: Graph, r: int) -> Fraction:
-    """count_cliques / C(m, r) as a reduced rational."""
+def count_cliques(
+    graph: Graph, r: int, work_limit: int = DEFAULT_CLIQUE_WORK_LIMIT
+) -> int:
+    """Exact number of r-cliques, by forward-neighborhood intersection along a degeneracy order."""
+    if r < 1:
+        raise GensetError("r must be >= 1")
+    if r > graph.m:
+        return 0
+    return _clique_profile(graph, r, work_limit)[r]
+
+
+def count_disjoint_tuples(
+    fam: SetFamily, k: int, work_limit: int = DEFAULT_CLIQUE_WORK_LIMIT
+) -> int:
+    """Number of unordered tuples of at most k pairwise disjoint distinct members.
+
+    These are the cliques of the disjointness graph, the empty tuple and the
+    empty set included, so the count is 1 + sum over r <= k of its r-clique
+    counts. The graph's m(m-1)/2 pair tests are charged against work_limit first.
+    """
+    if k < 0:
+        raise GensetError("k must be >= 0")
+    m = fam.m
+    if k <= 1:
+        return 1 + k * m
+    pairs = m * (m - 1) // 2
+    if pairs > work_limit:
+        raise WorkLimitExceeded(f"{pairs} pair tests exceed work limit {work_limit}")
+    return sum(_clique_profile(disjointness_graph(fam), min(k, m), work_limit - pairs))
+
+
+def clique_density(graph: Graph, r: int, count: Optional[int] = None) -> Fraction:
+    """count_cliques / C(m, r) as a reduced rational; pass count when it is already known."""
     if graph.m < r:
         raise GensetError(f"graph has {graph.m} < r = {r} vertices")
-    return Fraction(count_cliques(graph, r), comb(graph.m, r))
+    if count is None:
+        count = count_cliques(graph, r)
+    return Fraction(count, comb(graph.m, r))
 
 
 def turan_eta(r: int, s: int) -> Fraction:
@@ -396,12 +429,18 @@ def parse_graph(text: str) -> Graph:
         if m is None:
             if not line.startswith("vertices="):
                 raise FamilyFormatError(f"line {lineno}: expected 'vertices=<m>' header")
-            m = int(line[len("vertices="):])
+            try:
+                m = int(line[len("vertices="):])
+            except ValueError:
+                raise FamilyFormatError(f"line {lineno}: bad vertex count {line!r}")
             continue
         toks = line.split()
         if len(toks) != 2:
             raise FamilyFormatError(f"line {lineno}: expected 'u v'")
-        edges.append((int(toks[0]), int(toks[1])))
+        try:
+            edges.append((int(toks[0]), int(toks[1])))
+        except ValueError:
+            raise FamilyFormatError(f"line {lineno}: bad edge {line!r}")
     if m is None:
         raise FamilyFormatError("missing 'vertices=<m>' header")
     try:

@@ -119,35 +119,27 @@ def min_generator_size(
     ub = canonical_size(n, k)
     searcher = _Searcher(n, k, node_budget, deadline)
     target = lb
+    found = None
     try:
-        while target < ub:
-            if cap is not None and target > cap:
-                break
+        while found is None and target < ub and (cap is None or target <= cap):
             found = searcher.find(target)
-            if found is not None:
-                witness = SetFamily(n, tuple(sorted(found)))
-                assert is_k_generator(witness, k).holds
-                mini = len(found)
-                return SearchReport(
-                    n, k, mini, witness, searcher.nodes, mini >= ub, True,
-                    mini, mini, time.monotonic() - start,
-                )
-            target += 1
+            if found is None:
+                target += 1
     except _Budget:
+        pass
+    if found is None and target < ub:
         return SearchReport(
             n, k, None, None, searcher.nodes, None, False,
             target, ub, time.monotonic() - start,
         )
-    if cap is not None and target < ub:
-        return SearchReport(
-            n, k, None, None, searcher.nodes, None, False,
-            target, ub, time.monotonic() - start,
-        )
-    witness = canonical_generator(n, k)
-    assert is_k_generator(witness, k).holds
+    witness = canonical_generator(n, k) if found is None else SetFamily(n, tuple(sorted(found)))
+    # The certificate: a witness the generator DP rejects is a bug in the search.
+    if not is_k_generator(witness, k).holds:
+        raise AssertionError(f"search witness is not a {k}-generator of P[{n}]")
+    mini = witness.m
     return SearchReport(
-        n, k, ub, witness, searcher.nodes, True, True, ub, ub,
-        time.monotonic() - start,
+        n, k, mini, witness, searcher.nodes, mini >= ub, True,
+        mini, mini, time.monotonic() - start,
     )
 
 

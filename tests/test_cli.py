@@ -1,12 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from genset import canonical_generator, format_family
-from genset.graphs import format_graph, graph_from_edges, turan_blowup_graph
+from genset import canonical_generator, cli, format_family, generate, graphs
+from genset.graphs import (
+    format_graph, graph_from_edges, turan_blowup_graph, turan_clique_closed_form,
+)
 
 
 def run_cli(*args, **kwargs):
@@ -61,6 +68,30 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "files,args",
+        [
+            ({"cfg": "dp_cap=abc\n"}, ("--config", "{cfg}", "check", "--family", "{fam}", "-k", "2")),
+            ({"cfg": "threads=2\n"}, ("--config", "{cfg}", "check", "--family", "{fam}", "-k", "2")),
+            ({"g": "vertices=x\n"}, ("graph", "--graph", "{g}")),
+            ({"g": "vertices=3\n0 a\n"}, ("graph", "--graph", "{g}")),
+            ({}, ("check", "--family", "{fam}", "-k", "2", "--decompose", "1,a")),
+            ({}, ("check", "--family", "{fam}", "-k", "2", "--decompose", "9")),
+            ({"fam": b"n=2\n\xff\n"}, ("check", "--family", "{fam}", "-k", "2")),
+        ],
+        ids=["config-value", "threads-key", "graph-header", "graph-edge",
+             "decompose-token", "decompose-range", "family-bytes"],
+    )
+    def test_bad_input_is_two_with_nothing_on_stdout(self, tmp_path, fam42, files, args):
+        paths = {"fam": fam42}
+        for name, content in files.items():
+            path = tmp_path / name
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
+            paths[name] = str(path)
+        proc = run_cli("--no-meta", *(a.format(**paths) for a in args))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+
 
 class TestConstruct:
     def test_construct_4_2(self):
@@ -85,6 +116,17 @@ class TestCheck:
         records = [json.loads(line) for line in proc.stdout.splitlines()]
         dec = records[1]
         assert dec["found"] and sorted(dec["parts"]) == ["1", "3,4"]
+
+    def test_decompose_builds_the_table_once(self, fam42, monkeypatch, capsys):
+        calls = []
+        build = generate.reachable_layers
+        monkeypatch.setattr(
+            generate, "reachable_layers", lambda *a, **kw: calls.append(a) or build(*a, **kw)
+        )
+        args = ["--no-meta", "check", "--family", fam42, "-k", "2", "--decompose", "1,3,4"]
+        assert cli.main(args) == 0 and len(calls) == 1
+        verdict, dec = map(json.loads, capsys.readouterr().out.splitlines())
+        assert verdict["holds"] and sorted(dec["parts"]) == ["1", "3,4"]
 
     def test_base_check(self, tmp_path):
         path = tmp_path / "overlap.txt"
@@ -114,6 +156,20 @@ class TestGraphAndTuran:
         record = json.loads(proc.stdout)
         assert record["vertices"] == 6 and record["edges"] == 11
         assert record["k2_density"]["rational"] == "11/15"
+
+    def test_count_and_density_share_one_clique_walk(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "t43.txt"
+        path.write_text(format_graph(turan_blowup_graph(4, 3)))
+        calls = []
+        walk = graphs._clique_profile
+        monkeypatch.setattr(graphs, "_clique_profile", lambda *a: calls.append(a) or walk(*a))
+        args = ["--no-meta", "graph", "--graph", str(path), "--count-cliques", "3",
+                "--density", "3"]
+        assert cli.main(args) == 0 and len(calls) == 1
+        record = json.loads(capsys.readouterr().out)
+        count = turan_clique_closed_form(4, 3, 3)
+        assert record["k3_count"] == count
+        assert Fraction(record["k3_density"]["rational"]) == Fraction(count, comb(12, 3))
 
     def test_graph_file_input(self, tmp_path):
         path = tmp_path / "c5.txt"
@@ -239,3 +295,77 @@ class TestDeterminismAndConfig:
         cfg.write_text("bogus=1\n")
         proc = run_cli("--no-meta", "--config", str(cfg), "graph", "--family", fam42)
         assert proc.returncode == 2
+
+
+_junk = st.text(max_size=8)
+_number = st.integers(-2, 9).map(str)
+_set_text = st.lists(st.one_of(_number, _junk), min_size=1, max_size=4).map(",".join)
+
+
+def _text(header, row):
+    return st.builds(
+        lambda head, rows: "\n".join([head, *rows]) + "\n", header, st.lists(row, max_size=8)
+    )
+
+
+_family_text = _text(
+    st.one_of(st.integers(-1, 6).map("n={}".format), _junk),
+    st.one_of(_set_text, st.just("-"), _junk),
+)
+_graph_text = _text(
+    st.one_of(st.integers(-1, 7).map("vertices={}".format), _junk),
+    st.one_of(st.tuples(_number, _number).map(" ".join), _junk),
+)
+_config_key = st.sampled_from(
+    ["dp_cap", "dp-cap", "base_cap", "graph_cap", "node_budget", "time_budget", "threads", "bogus"]
+)
+_config_text = st.lists(
+    st.one_of(st.tuples(_config_key, st.one_of(_number, _junk)).map("=".join), _junk), max_size=3
+).map("\n".join)
+_small = st.integers(-1, 4).map(str)
+_command = st.one_of(
+    st.tuples(
+        st.just(["check", "--family", "FAM", "-k"]), _small,
+        st.sampled_from([[], ["--base"]]),
+        st.one_of(st.just([]), _set_text.map(lambda t: ["--decompose", t])),
+    ).map(lambda p: [*p[0], p[1], *p[2], *p[3]]),
+    st.tuples(
+        st.sampled_from([["graph", "--family", "FAM"], ["graph", "--graph", "GRAPH"]]),
+        st.one_of(st.just([]), _small.map(lambda r: ["--count-cliques", r])),
+        st.one_of(st.just([]), _small.map(lambda r: ["--density", r])),
+    ).map(lambda p: [*p[0], *p[1], *p[2]]),
+    _small.map(lambda k: ["bounds", "coverage", "--family", "FAM", "-k", k]),
+    st.tuples(st.integers(1, 3), st.integers(0, 2)).map(
+        lambda p: ["blowup", "--graph", "GRAPH", "-a", str(p[0]), "-t", str(p[1])]
+    ),
+)
+
+
+class TestExitContractFuzz:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_family_text, _graph_text, _config_text, st.booleans(), _command)
+    def test_exit_code_contract(
+        self, tmp_path_factory, fam_text, graph_text, cfg_text, use_cfg, command
+    ):
+        work = tmp_path_factory.mktemp("fuzz")
+        paths = {}
+        for name, text in (("FAM", fam_text), ("GRAPH", graph_text), ("CFG", cfg_text)):
+            paths[name] = str(work / name)
+            (work / name).write_text(text)
+        argv = ["--no-meta", *(["--config", paths["CFG"]] if use_cfg else [])]
+        argv += [paths.get(a, a) for a in command]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                status = exc.code
+        assert status in {0, 1, 2, 3}
+        assert "Traceback" not in err.getvalue()
+        if status == 1:
+            records = [json.loads(line) for line in out.getvalue().splitlines()]
+            assert any(
+                rec.get(key) is False
+                for rec in records
+                for key in ("holds", "found", "attained_by_turan")
+            ), records

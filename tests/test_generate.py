@@ -113,7 +113,7 @@ class TestIsKGenerator:
 class TestDecompose:
     def test_witness_for_canonical(self):
         fam = canonical_generator(4, 2)
-        dec = decompose(fam, 2, 0b1101)
+        dec = decompose(fam, reachable_layers(fam, 2), 0b1101)
         assert dec is not None
         union, seen = 0, 0
         for part in dec.parts:
@@ -126,17 +126,17 @@ class TestDecompose:
 
     def test_empty_target_gives_empty_decomposition(self):
         fam = canonical_generator(4, 2)
-        assert decompose(fam, 2, 0).parts == ()
+        assert decompose(fam, reachable_layers(fam, 2), 0).parts == ()
 
     def test_absent_matches_checker_counterexample(self):
         fam = make_family(2, [0b01, 0b11])
-        assert decompose(fam, 2, 0b10) is None
+        assert decompose(fam, reachable_layers(fam, 2), 0b10) is None
 
     @settings(max_examples=200)
     @given(small_families, st.integers(0, 4), st.data())
     def test_witness_iff_table_marks_target(self, fam, k, data):
         x = data.draw(st.integers(0, (1 << fam.n) - 1))
-        dec = decompose(fam, k, x)
+        dec = decompose(fam, reachable_layers(fam, k), x)
         reachable = x in brute_reachable(fam, k)
         assert (dec is not None) == reachable
         if dec is not None:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -9,9 +10,11 @@ from genset import (
     CapExceeded,
     GensetError,
     Graph,
+    WorkLimitExceeded,
     canonical_generator,
     clique_density,
     count_cliques,
+    count_disjoint_tuples,
     dense_subset_fraction,
     disjointness_graph,
     erdos_max_check,
@@ -83,6 +86,10 @@ class TestCountCliques:
     def test_turan_graph_triangles(self):
         assert count_cliques(turan_blowup_graph(3, 2), 3) == 8
 
+    def test_r_beyond_vertex_count_is_zero(self):
+        g = random_graph(9, 0.5, seed=1)
+        assert count_cliques(g, 10) == count_cliques(g, 10**9) == 0
+
     def test_single_vertex_count(self):
         g = random_graph(9, 0.5, seed=1)
         assert count_cliques(g, 1) == 9
@@ -111,6 +118,51 @@ class TestCountCliques:
                     assert count_cliques(g, r) == turan_clique_closed_form(s, T, r)
 
 
+def brute_disjoint_tuples(members, k):
+    """Independent oracle: tuples of at most k pairwise disjoint members, by enumeration."""
+    total = 0
+    for j in range(min(k, len(members)) + 1):
+        for combo in itertools.combinations(members, j):
+            total += all(a & b == 0 for a, b in itertools.combinations(combo, 2))
+    return total
+
+
+class TestCountDisjointTuplesAsCliques:
+    @pytest.mark.parametrize(
+        "n,masks,k",
+        [
+            (3, [0, 0b001, 0b010, 0b100, 0b011], 3),  # the empty set joins every tuple
+            (4, [0, 0b0011, 0b1100, 0b0101, 0b1010, 0b1111], 2),
+            (3, [0, 0b001, 0b110], 7),  # k > m: every disjoint subfamily counts
+            (5, [0b00001, 0b00110, 0b11000, 0b00011], 9),
+        ],
+    )
+    def test_special_cases_vs_enumeration(self, n, masks, k):
+        fam = make_family(n, masks)
+        assert count_disjoint_tuples(fam, k) == brute_disjoint_tuples(fam.members, k)
+
+    def test_k_at_most_one_at_m_65535(self):
+        fam = canonical_generator(16, 1)  # m = 65535: the graph would cost 2.1e9 pair tests
+        start = time.perf_counter()
+        counts = [count_disjoint_tuples(fam, k) for k in (0, 1)]
+        assert time.perf_counter() - start < 0.5
+        assert counts == [brute_disjoint_tuples(fam.members, k) for k in (0, 1)] == [1, 65536]
+
+    def test_power_set_of_10_at_k_4(self):
+        # A disjoint s-tuple of nonempty subsets of [10] is a partition of [11]
+        # into s + 1 blocks: 1 + S(11,2) + S(11,3) + S(11,4) + S(11,5).
+        fam = make_family(10, range(1, 1 << 10))
+        assert count_disjoint_tuples(fam, 4) == 1 + 1023 + 28501 + 145750 + 246730 == 422005
+
+    def test_pair_tests_are_charged_first(self):
+        fam = canonical_generator(8, 2)
+        pairs = fam.m * (fam.m - 1) // 2
+        expected = brute_disjoint_tuples(fam.members, 2)
+        assert count_disjoint_tuples(fam, 2, work_limit=pairs) == expected
+        with pytest.raises(WorkLimitExceeded):
+            count_disjoint_tuples(fam, 2, work_limit=pairs - 1)
+
+
 class TestCliqueDensity:
     def test_complete_graph(self):
         k5 = graph_from_edges(5, itertools.combinations(range(5), 2))
@@ -126,6 +178,10 @@ class TestCliqueDensity:
     def test_too_few_vertices(self):
         with pytest.raises(GensetError):
             clique_density(Graph((0,)), 2)
+
+    def test_known_count_is_not_recounted(self):
+        g = turan_blowup_graph(3, 2)
+        assert clique_density(g, 3, count=8) == clique_density(g, 3) == Fraction(8, 20)
 
 
 class TestTuranEta:

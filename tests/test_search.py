@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +12,9 @@ from genset import (
     trivial_lower_bound,
     verify_conjecture_range,
 )
+from genset import search
 from genset.families import SetFamily
+from genset.generate import GeneratorVerdict
 
 
 def oracle_minimum(n, k):
@@ -64,6 +68,27 @@ class TestMinGeneratorSize:
         assert not report.conclusive
         assert report.minimum is None
         assert report.lower_bound <= report.upper_bound == canonical_size(5, 2)
+
+    @pytest.mark.parametrize("found", [None, [1, 2, 4, 8, 15]])
+    def test_rejected_witness_raises(self, monkeypatch, found):
+        # found=None certifies the canonical generator; a list stands in for a
+        # smaller witness returned by the deepening search.
+        monkeypatch.setattr(search, "is_k_generator", lambda fam, k: GeneratorVerdict(False, 0))
+        if found is not None:
+            monkeypatch.setattr(search._Searcher, "find", lambda self, target: found)
+        with pytest.raises(AssertionError, match="search witness is not a 2-generator"):
+            min_generator_size(4, 2)
+
+    def test_witness_recheck_survives_optimize_flag(self):
+        code = (
+            "from genset import search\n"
+            "from genset.generate import GeneratorVerdict\n"
+            "search.is_k_generator = lambda fam, k: GeneratorVerdict(False, 0)\n"
+            "search.min_generator_size(4, 2)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "search witness is not a 2-generator" in proc.stderr
 
     def test_rejects_bad_params(self):
         with pytest.raises(GensetError):
