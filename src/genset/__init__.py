@@ -22,6 +22,7 @@ from .families import (
 from .generate import (
     Decomposition,
     GeneratorVerdict,
+    capped_layers,
     decompose,
     is_k_base,
     is_k_generator,

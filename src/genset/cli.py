@@ -53,9 +53,9 @@ def _read_family(path: str) -> fam_mod.SetFamily:
         return fam_mod.parse_family(fh.read())
 
 
-def _read_graph(path: str) -> graph_mod.Graph:
+def _read_graph(path: str, graph_cap: int) -> graph_mod.Graph:
     with open(path) as fh:
-        return graph_mod.parse_graph(fh.read())
+        return graph_mod.parse_graph(fh.read(), graph_cap=graph_cap)
 
 
 def _parse_set(text: str, n: int) -> int:
@@ -220,7 +220,7 @@ def _cmd_check(args) -> int:
         verdict = gen_mod.is_k_base(fam, args.k, base_cap=args.base_cap)
         op = "is_k_base"
     else:
-        layers = gen_mod.reachable_layers(fam, args.k, dp_cap=args.dp_cap)
+        layers = gen_mod.capped_layers(fam, args.k, dp_cap=args.dp_cap)
         verdict = gen_mod.verdict_from_layers(layers, fam.n)
         op = "is_k_generator"
     record = {"op": op, "k": args.k, "holds": verdict.holds}
@@ -230,7 +230,7 @@ def _cmd_check(args) -> int:
     _emit(record)
     if target is not None:
         if layers is None:
-            layers = gen_mod.reachable_layers(fam, args.k, dp_cap=args.dp_cap)
+            layers = gen_mod.capped_layers(fam, args.k, dp_cap=args.dp_cap)
         dec = gen_mod.decompose(fam, layers, target)
         rec = {"op": "decompose", "target": fam_mod.format_mask(target), "found": dec is not None}
         if dec is not None:
@@ -292,7 +292,7 @@ def _cmd_graph(args) -> int:
         fam = _read_family(args.family)
         g = graph_mod.disjointness_graph(fam, graph_cap=args.graph_cap)
     else:
-        g = _read_graph(args.graph)
+        g = _read_graph(args.graph, args.graph_cap)
     record = {"vertices": g.m, "edges": g.edge_count()}
     if args.count_cliques is not None:
         record[f"k{args.count_cliques}_count"] = graph_mod.count_cliques(g, args.count_cliques)
@@ -338,7 +338,7 @@ def _cmd_turan(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, args.graph_cap)
     classes = graph_mod.find_blowup(g, args.a, args.t)
     record = {"a": args.a, "t": args.t, "found": classes is not None}
     if classes is not None:
@@ -404,7 +404,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.action == "dense-subset":
-        g = _read_graph(args.graph)
+        g = _read_graph(args.graph, args.graph_cap)
         result = graph_mod.dense_subset_fraction(
             g, args.l, args.r, args.threshold, sample=args.sample, seed=args.seed
         )

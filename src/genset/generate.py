@@ -1,13 +1,15 @@
 """Deciding the k-generator and k-base properties of a set family.
 
-The reachability table over all 2^n target masks is stored as one big int per
-layer (bit x set iff mask x is expressible). The layer step "extend every
-reachable mask by a disjoint member g" becomes a masked shift: positions x
-with x & g == 0 move to x | g = x + g, so
+The table over all 2^n target masks is one big int per layer: bit x of layer
+j is set iff mask x is a union of at most j pairwise disjoint members. It
+grows one member g at a time. Positions x with x & g == 0 move to x | g =
+x + g, one layer up, so with disj the bitmap of those positions the update is
 
-    layer |= (layer & disjoint_positions(g)) << g
+    layers[j] |= (layers[j-1] & disj) << g        for j = k..1
 
-which keeps the whole DP inside a handful of wide bit operations per member.
+Members come in ascending order, so the layers and disj are only as wide as
+the largest mask reached so far. Memory is the k+1 layers (k capped at n) and
+the temporaries of one step, at most 2^n bits each.
 """
 
 from __future__ import annotations
@@ -35,14 +37,12 @@ class Decomposition:
     parts: tuple[SubsetMask, ...]
 
 
-def _bit_clear_pattern(b: int, n: int) -> int:
-    """Bitmap over all 2^n positions x with bit b of x clear, built by doubling."""
-    width = 1 << (b + 1)
-    block = (1 << (1 << b)) - 1
-    total = 1 << n
-    while width < total:
-        block |= block << width
-        width *= 2
+def _disjoint_positions(g: SubsetMask, width: int) -> int:
+    """Bitmap over the 2^width positions x < 2^width with x & g == 0, built by doubling."""
+    block = 1
+    for b in range(width):
+        if not g >> b & 1:
+            block |= block << (1 << b)
     return block
 
 
@@ -54,42 +54,43 @@ def _membership_bitmap(fam: SetFamily) -> int:
     return int.from_bytes(buf, "little")
 
 
+def add_member(layers: list[int], g: SubsetMask) -> None:
+    """Extend a disjoint-union table of two or more layers in place by one nonempty member g."""
+    # The layers are nested, so no step reads a position above the highest
+    # one in layer top-1; disj needs only the bits of that position's width.
+    disj = _disjoint_positions(g, (layers[-2].bit_length() - 1).bit_length())
+    for j in range(len(layers) - 1, 0, -1):
+        layers[j] |= (layers[j - 1] & disj) << g
+
+
 def reachable_layers(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> list[int]:
     """Layers 0..k of the disjoint-union DP, each a 2^n-bit bitmap.
 
     Bit x of layer j is set iff mask x is a union of at most j pairwise
     disjoint members. Empty members are skipped: they never extend a union.
+    At most n disjoint nonempty members fit in [n], so only layers up to
+    min(k, n) are built; the list still has k+1 entries, those above
+    min(k, n) references to it (capped_layers returns none of them).
     """
     if k < 0:
         raise GensetError("k must be >= 0")
     if fam.n > dp_cap:
         raise CapExceeded(f"n={fam.n} exceeds DP cap {dp_cap} (2^n-bit tables)")
-    n = fam.n
-    size = 1 << n
-    full = (1 << size) - 1
-    layers = [1]  # layer 0: only the empty set
-    if k == 0:
-        return layers
-    # Layer 1 is just membership (plus the empty set); no shifts needed.
-    layers.append(1 | _membership_bitmap(fam))
-    patterns = [_bit_clear_pattern(b, n) for b in range(n)]
-    nonempty = [g for g in fam.members if g]
-    for _ in range(2, k + 1):
-        prev = layers[-1]
-        if prev == full:
-            layers.append(prev)
-            continue
-        cur = prev
-        for g in nonempty:
-            disj = full
-            gg = g
-            while gg:
-                b = (gg & -gg).bit_length() - 1
-                disj &= patterns[b]
-                gg &= gg - 1
-            cur |= (prev & disj) << g
-        layers.append(cur)
-    return layers
+    top = min(k, fam.n)
+    if top <= 1:
+        # Layer 1 is the members themselves, set in one pass over a buffer
+        # instead of one full-width kernel step per member.
+        return [1] + [1 | _membership_bitmap(fam)] * k
+    layers = [1] * (top + 1)  # only the empty set so far
+    for g in fam.members:
+        if g:
+            add_member(layers, g)
+    return layers + [layers[top]] * (k - top)
+
+
+def capped_layers(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> list[int]:
+    """Layers 0..min(k, n) of reachable_layers; they decide the same as 0..k."""
+    return reachable_layers(fam, min(k, fam.n), dp_cap=dp_cap)
 
 
 def verdict_from_layers(layers: list[int], n: int) -> GeneratorVerdict:
@@ -107,15 +108,15 @@ def verdict_from_layers(layers: list[int], n: int) -> GeneratorVerdict:
 
 def is_k_generator(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> GeneratorVerdict:
     """Does every subset of [n] split into at most k disjoint members?"""
-    return verdict_from_layers(reachable_layers(fam, k, dp_cap=dp_cap), fam.n)
+    return verdict_from_layers(capped_layers(fam, k, dp_cap=dp_cap), fam.n)
 
 
 def decompose(fam: SetFamily, layers: list[int], x: SubsetMask) -> Optional[Decomposition]:
     """A witness split of x into at most k disjoint nonempty members, if one exists.
 
-    layers is the table reachable_layers(fam, k). Greedy largest-first over
-    its layers; parts are returned in descending mask order. Returns None
-    when x is not expressible.
+    layers is the table reachable_layers(fam, k) or capped_layers(fam, k).
+    Greedy largest-first over its layers; parts are returned in descending
+    mask order. Returns None when x is not expressible.
     """
     check_mask(x, fam.n)
     k = len(layers) - 1
@@ -142,19 +143,12 @@ def decompose(fam: SetFamily, layers: list[int], x: SubsetMask) -> Optional[Deco
     return Decomposition(tuple(sorted(parts, reverse=True)))
 
 
-def _subset_zeta(a, n: int):
+def _subset_transform(a, n: int, op):
+    """Zeta (op=np.add) or Moebius (op=np.subtract) over the subset lattice, in place."""
     for b in range(n):
         step = 1 << b
         v = a.reshape(-1, 2 * step)
-        v[:, step:] += v[:, :step]
-    return a
-
-
-def _subset_mobius(a, n: int):
-    for b in range(n):
-        step = 1 << b
-        v = a.reshape(-1, 2 * step)
-        v[:, step:] -= v[:, :step]
+        op(v[:, step:], v[:, :step], out=v[:, step:])
     return a
 
 
@@ -175,14 +169,15 @@ def is_k_base(fam: SetFamily, k: int, base_cap: int = DEFAULT_BASE_CAP) -> Gener
     size = 1 << n
     memb = np.zeros(size, dtype=np.int64)
     memb[list(fam.members)] = 1
-    zm = _subset_zeta(memb.copy(), n)
+    zm = _subset_transform(memb.copy(), n, np.add)
     covered = np.zeros(size, dtype=bool)
     covered[0] = True
-    for _ in range(k):
+    # A union of members equal to x needs at most |x| <= n of them.
+    for _ in range(min(k, n)):
         if covered.all():
             break
-        zc = _subset_zeta(covered.astype(np.int64), n)
-        pairs = _subset_mobius(zc * zm, n)
+        zc = _subset_transform(covered.astype(np.int64), n, np.add)
+        pairs = _subset_transform(zc * zm, n, np.subtract)
         covered |= pairs > 0
     if covered.all():
         return GeneratorVerdict(True)

@@ -419,7 +419,7 @@ def format_graph(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str, graph_cap: int = DEFAULT_GRAPH_CAP) -> Graph:
     m = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -433,6 +433,10 @@ def parse_graph(text: str) -> Graph:
                 m = int(line[len("vertices="):])
             except ValueError:
                 raise FamilyFormatError(f"line {lineno}: bad vertex count {line!r}")
+            if m < 0:
+                raise FamilyFormatError(f"line {lineno}: negative vertex count {m}")
+            if m > graph_cap:
+                raise CapExceeded(f"{m} vertices exceed graph cap {graph_cap}")
             continue
         toks = line.split()
         if len(toks) != 2:

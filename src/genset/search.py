@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import GensetError
 from .families import SetFamily, canonical_generator, canonical_size, trivial_lower_bound
-from .generate import is_k_generator, reachable_layers
+from .generate import add_member, is_k_generator
 
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_TIME_BUDGET = 600.0
@@ -53,10 +53,6 @@ class _Searcher:
         self.deadline = deadline
         self.nodes = 0
 
-    def _covered(self, chosen: list[int]) -> int:
-        fam = SetFamily(self.n, tuple(sorted(chosen)))
-        return reachable_layers(fam, self.k)[self.k]
-
     def _count_prune(self, covered_count: int, c: int, slots: int) -> bool:
         # Each still-missing mask needs a disjoint tuple using >= 1 new member.
         k = self.k
@@ -68,33 +64,34 @@ class _Searcher:
 
     def find(self, target: int) -> Optional[list[int]]:
         """A k-generator of size <= target, or None if none exists."""
-        return self._dfs([], set(), target)
+        return self._dfs([1] * (self.k + 1), [], 0, target)
 
-    def _dfs(self, chosen: list[int], excluded: set[int], target: int) -> Optional[list[int]]:
+    def _dfs(self, layers: list[int], chosen: list[int], skip: int, target: int) -> Optional[list[int]]:
+        # layers: the table of chosen. skip: bit g set if g is chosen or tried in an earlier branch.
         self.nodes += 1
         if self.nodes > self.node_budget or (
             self.nodes % 4096 == 0 and time.monotonic() > self.deadline
         ):
             raise _Budget
-        covered = self._covered(chosen)
+        covered = layers[-1]
         if covered == self.full:
             return chosen
         slots = target - len(chosen)
         if slots == 0:
             return None
-        if self._count_prune(bin(covered).count("1"), len(chosen), slots):
+        if self._count_prune(covered.bit_count(), len(chosen), slots):
             return None
         x = (~covered & self.full)
         x = (x & -x).bit_length() - 1  # smallest ungenerated mask
-        chosen_set = set(chosen)
-        tried: list[int] = []
         for g in self.pool:
-            if g & ~x or g in chosen_set or g in excluded:
+            if g & ~x or skip >> g & 1:
                 continue
-            found = self._dfs(chosen + [g], excluded | set(tried), target)
+            child = layers.copy()
+            add_member(child, g)
+            found = self._dfs(child, chosen + [g], skip | 1 << g, target)
             if found is not None:
                 return found
-            tried.append(g)
+            skip |= 1 << g
         return None
 
 

@@ -92,6 +92,22 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "header,args,code",
+        [
+            ("vertices=-3", (), 2),
+            ("vertices=10000000", (), 3),
+            ("vertices=6", ("--graph-cap", "5"), 3),
+        ],
+        ids=["negative", "above-default-cap", "above-graph-cap-flag"],
+    )
+    def test_graph_vertex_count_is_checked_before_allocation(self, tmp_path, header, args, code):
+        path = tmp_path / "g.txt"
+        path.write_text(header + "\n")
+        proc = run_cli("--no-meta", *args, "graph", "--graph", str(path))
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert "Traceback" not in proc.stderr
+
 
 class TestConstruct:
     def test_construct_4_2(self):
@@ -135,6 +151,26 @@ class TestCheck:
         assert proc.returncode == 1
         record = json.loads(proc.stdout)
         assert record["op"] == "is_k_base" and record["counterexample"] == "1"
+
+    @pytest.mark.parametrize(
+        "family,extra",
+        [("n=3\n1\n2\n3\n", ()), ("n=3\n1\n2,3\n", ()), ("n=3\n1,2\n2,3\n3\n", ("--base",))],
+        ids=["generator", "not-generator", "base"],
+    )
+    def test_huge_k_answers_like_k_equal_to_n(self, tmp_path, family, extra):
+        # No union of nonempty members needs more than n of them, so any k >= n
+        # gives the same verdict; a huge k must not cost k rounds or layers,
+        # which would take hours (the timeout raises).
+        path = tmp_path / "f.txt"
+        path.write_text(family)
+        args = ("--no-meta", "check", "--family", str(path), *extra, "--decompose", "1,3")
+        small = run_cli(*args, "-k", "3")
+        huge = run_cli(*args, "-k", "1000000000", timeout=5)
+        assert huge.returncode == small.returncode
+        small_records = [json.loads(line) for line in small.stdout.splitlines()]
+        huge_records = [json.loads(line) for line in huge.stdout.splitlines()]
+        assert huge_records[0].pop("k") == 1000000000 and small_records[0].pop("k") == 3
+        assert huge_records == small_records
 
 
 class TestSearchMin:

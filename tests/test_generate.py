@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from genset import (
     GensetError,
     WorkLimitExceeded,
     canonical_generator,
+    capped_layers,
     count_disjoint_tuples,
     decompose,
     is_k_base,
@@ -16,6 +18,7 @@ from genset import (
     reachable_layers,
 )
 from genset.families import SetFamily
+from genset.generate import add_member
 
 
 def brute_reachable(fam, k):
@@ -85,6 +88,44 @@ class TestReachableLayers:
             assert lo & ~hi == 0  # layer_j subset of layer_{j+1}
         for j in range(k + 1):
             assert bitmap_to_set(layers[j]) == brute_reachable(fam, j)
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_matches_brute_force_on_random_families_past_one_word(self, n):
+        # From n = 7 on a table has more than 64 positions, past one machine
+        # word, and disj is built over several widths as the table grows.
+        rng = random.Random(n)
+        for _ in range(3):
+            members = rng.sample(range(1, 1 << n), rng.randint(4, 16))
+            fam = SetFamily(n, tuple(sorted(members)))
+            for k in range(5):
+                layers = reachable_layers(fam, k)
+                assert len(layers) == k + 1
+                for j in range(k + 1):
+                    assert bitmap_to_set(layers[j]) == brute_reachable(fam, j)
+
+    @pytest.mark.parametrize("n", [3, 7, 10])
+    def test_add_member_equals_building_with_the_member(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(5):
+            members = rng.sample(range(1, 1 << n), rng.randint(0, 6))
+            g = rng.choice([x for x in range(1, 1 << n) if x not in members])
+            for k in range(1, 4):
+                layers = reachable_layers(SetFamily(n, tuple(sorted(members))), k)
+                add_member(layers, g)
+                assert layers == reachable_layers(SetFamily(n, tuple(sorted(members + [g]))), k)
+
+    def test_layers_above_n_repeat_layer_n(self):
+        fam = make_family(3, [0b001, 0b010, 0b100, 0b011])
+        layers = reachable_layers(fam, 7)
+        assert len(layers) == 8
+        assert layers[4:] == [layers[3]] * 4
+        assert bitmap_to_set(layers[3]) == set(range(8))
+
+    def test_capped_layers_stop_at_n(self):
+        fam = make_family(3, [0b001, 0b010, 0b100, 0b011])
+        assert capped_layers(fam, 10**9) == reachable_layers(fam, 3)
+        assert capped_layers(fam, 2) == reachable_layers(fam, 2)
+        assert capped_layers(fam, 1) == reachable_layers(fam, 1)
 
 
 class TestIsKGenerator:

@@ -90,6 +90,19 @@ class TestMinGeneratorSize:
         assert proc.returncode == 1
         assert "search witness is not a 2-generator" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "n,k,nodes,witness",
+        [
+            (6, 2, 3947, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48, 56]),
+            (7, 4, 9090, [1, 2, 3, 4, 8, 12, 16, 32, 48, 64]),
+        ],
+    )
+    def test_search_tree_is_pinned(self, n, k, nodes, witness):
+        # The node count and the first witness found fix the branching order.
+        report = min_generator_size(n, k)
+        assert report.nodes_explored == nodes
+        assert list(report.witness.members) == witness
+
     def test_rejects_bad_params(self):
         with pytest.raises(GensetError):
             min_generator_size(2, 3)
