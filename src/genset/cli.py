@@ -241,11 +241,13 @@ def _cmd_check(args) -> int:
     return status
 
 
-def _sweep_csv(reports) -> str:
+def _sweep_csv(reports, timed: bool) -> str:
+    """One CSV row per case; the wall-clock `seconds` column only when timed."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
-        ["n", "k", "trivial_bound", "canonical_size", "minimum", "conjecture_holds", "nodes", "seconds"]
+        ["n", "k", "trivial_bound", "canonical_size", "minimum", "conjecture_holds", "nodes"]
+        + (["seconds"] if timed else [])
     )
     for r in reports:
         writer.writerow([
@@ -255,8 +257,7 @@ def _sweep_csv(reports) -> str:
             r.minimum if r.minimum is not None else "inconclusive",
             r.conjecture_holds if r.conjecture_holds is not None else "unknown",
             r.nodes_explored,
-            f"{r.seconds:.3f}",
-        ])
+        ] + ([f"{r.seconds:.3f}"] if timed else []))
     return buf.getvalue()
 
 
@@ -267,7 +268,7 @@ def _cmd_search_min(args) -> int:
         reports = search_mod.verify_conjecture_range(
             args.n_max, args.k_max, node_budget=args.node_budget, time_budget=args.time_budget
         )
-        sys.stdout.write(_sweep_csv(reports))
+        sys.stdout.write(_sweep_csv(reports, timed=not args.no_meta))
         return EXIT_BUDGET if any(not r.conclusive for r in reports) else EXIT_OK
     if args.n is None or args.k is None:
         raise GensetError("single search requires -n and -k")

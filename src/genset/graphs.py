@@ -67,66 +67,51 @@ def disjointness_graph(fam: SetFamily, graph_cap: int = DEFAULT_GRAPH_CAP) -> Gr
     return Graph(tuple(rows), labels=masks)
 
 
-def degeneracy_order(graph: Graph) -> list[int]:
-    """Vertices by repeated minimum-degree removal."""
-    m = graph.m
-    alive = (1 << m) - 1
-    order = []
-    for _ in range(m):
-        best, best_deg = -1, m + 1
-        rest = alive
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            deg = (graph.rows[v] & alive).bit_count()
-            if deg < best_deg:
-                best, best_deg = v, deg
-        order.append(best)
-        alive &= ~(1 << best)
-    return order
-
-
 def _clique_profile(graph: Graph, r: int, work_limit: int) -> list[int]:
-    """[1, m, K_2 count, ..., K_r count] from one walk along a degeneracy order.
+    """[1, m, K_2 count, ..., K_r count] from one walk down the vertex labels.
 
-    walk(rest, size) takes a clique of `size` vertices and their common forward
-    neighbors rest. Adding a vertex v of rest leaves ext common forward
-    neighbors, so ext's popcount tallies the (size+2)-cliques; the walk
-    descends only while that size is below r.
+    walk(rest, size) takes a clique of `size` vertices and rest, their common
+    neighbors, all labeled below the clique. It takes the vertices of rest from
+    the top: the neighbors ext of v still in rest all lie below v, so ext's
+    popcount tallies the (size+2)-cliques and the ints narrow as the walk goes
+    down. The walk descends only while that size is below r.
+
+    Every vertex of rest is one step, charged on entry. A c-clique met on the
+    way has 2^c - 1 nonempty subsets, all of them steps, so a clique of more
+    than `deepest` vertices proves the limit exceeded before any deeper call.
     """
     m = graph.m
     if r <= 2:
         return [1, m, graph.edge_count()][: r + 1]
-    order = degeneracy_order(graph)
-    pos = {v: i for i, v in enumerate(order)}
-    # Rows relabeled to order positions, keeping only forward neighbors.
-    fwd = [0] * m
-    for v in range(m):
-        i = pos[v]
-        row = graph.rows[v]
-        acc = 0
-        while row:
-            u = (row & -row).bit_length() - 1
-            row &= row - 1
-            j = pos[u]
-            if j > i:
-                acc |= 1 << j
-        fwd[i] = acc
+    rows = graph.rows
+    deepest = (work_limit + 1).bit_length() - 1  # largest c with 2^c - 1 <= work_limit
     profile = [1, m] + [0] * (r - 1)
     work = 0
 
     def walk(rest: int, size: int) -> None:
         nonlocal work
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            work += 1
-            if work > work_limit:
-                raise WorkLimitExceeded("clique counting exceeded its work limit")
-            ext = fwd[v] & rest
-            profile[size + 2] += ext.bit_count()
-            if size + 2 < r:
-                walk(ext, size + 1)
+        work += rest.bit_count()
+        if work > work_limit:
+            raise WorkLimitExceeded("clique counting exceeded its work limit")
+        found = 0
+        if size + 2 == r:
+            while rest:
+                v = rest.bit_length() - 1
+                rest ^= 1 << v
+                found += (rows[v] & rest).bit_count()
+        else:
+            while rest:
+                v = rest.bit_length() - 1
+                rest ^= 1 << v
+                ext = rows[v] & rest
+                if ext:
+                    found += ext.bit_count()
+                    if size + 2 > deepest:
+                        raise WorkLimitExceeded(
+                            f"a {size + 2}-clique alone exceeds the clique work limit"
+                        )
+                    walk(ext, size + 1)
+        profile[size + 2] += found
 
     walk((1 << m) - 1, 0)
     return profile
@@ -135,7 +120,7 @@ def _clique_profile(graph: Graph, r: int, work_limit: int) -> list[int]:
 def count_cliques(
     graph: Graph, r: int, work_limit: int = DEFAULT_CLIQUE_WORK_LIMIT
 ) -> int:
-    """Exact number of r-cliques, by forward-neighborhood intersection along a degeneracy order."""
+    """Exact number of r-cliques, by one walk that intersects bit rows down the vertex labels."""
     if r < 1:
         raise GensetError("r must be >= 1")
     if r > graph.m:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from genset import canonical_generator, cli, format_family, generate, graphs
 from genset.graphs import (
-    format_graph, graph_from_edges, turan_blowup_graph, turan_clique_closed_form,
+    Graph, format_graph, graph_from_edges, turan_blowup_graph, turan_clique_closed_form,
 )
 
 
@@ -108,6 +108,16 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (code, "")
         assert "Traceback" not in proc.stderr
 
+    def test_deep_clique_count_is_three(self, tmp_path):
+        # A 1049-deep walk would pass the recursion limit; the budget refuses it first.
+        m = 1100
+        path = tmp_path / "k1100.txt"
+        path.write_text(format_graph(Graph(tuple(((1 << m) - 1) ^ (1 << v) for v in range(m)))))
+        proc = run_cli("--no-meta", "graph", "--graph", str(path), "--count-cliques", "1050",
+                       timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert "Traceback" not in proc.stderr
+
 
 class TestConstruct:
     def test_construct_4_2(self):
@@ -184,6 +194,14 @@ class TestSearchMin:
         lines = proc.stdout.splitlines()
         assert lines[0].startswith("n,k,trivial_bound,canonical_size,minimum")
         assert len(lines) == 1 + 4 + 3
+
+    def test_sweep_times_cases_only_with_meta(self, capsys):
+        # Wall-clock seconds would break byte-identical --no-meta reruns.
+        args = ["search-min", "--sweep", "--n-max", "3", "--k-max", "2"]
+        assert cli.main(["--no-meta", *args]) == 0
+        assert capsys.readouterr().out.splitlines()[0].split(",")[-1] == "nodes"
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[-1] == "seconds"
 
 
 class TestGraphAndTuran:

@@ -27,6 +27,7 @@ from genset import (
     turan_clique_closed_form,
     turan_eta,
 )
+from genset.graphs import DEFAULT_CLIQUE_WORK_LIMIT, _clique_profile
 
 
 def triple_loop_triangles(masks):
@@ -52,6 +53,26 @@ def random_graph(m, p, seed):
     rng = random.Random(seed)
     edges = [(u, v) for u in range(m) for v in range(u + 1, m) if rng.random() < p]
     return graph_from_edges(m, edges)
+
+
+def complete_graph(m):
+    full = (1 << m) - 1
+    return Graph(tuple(full ^ (1 << v) for v in range(m)))
+
+
+def clique_profile_by_sets(g, r):
+    """Independent oracle: [1, K_1, ..., K_r] by growing cliques upward over Python sets."""
+    nbrs = [{u for u in range(g.m) if g.has_edge(u, v)} for v in range(g.m)]
+    profile = [1] + [0] * r
+
+    def extend(cands, size):
+        for v in cands:
+            profile[size + 1] += 1
+            if size + 1 < r:
+                extend({u for u in cands & nbrs[v] if u > v}, size + 1)
+
+    extend(set(range(g.m)), 0)
+    return profile
 
 
 class TestDisjointnessGraph:
@@ -116,6 +137,39 @@ class TestCountCliques:
                 g = turan_blowup_graph(s, T)
                 for r in range(1, s + 1):
                     assert count_cliques(g, r) == turan_clique_closed_form(s, T, r)
+
+
+class TestCliqueWalk:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_profile_vs_set_enumeration_on_multi_digit_rows(self, seed):
+        rng = random.Random(seed)
+        m = 40 + 7 * seed  # 40..75 vertices: rows span several int digits
+        g = random_graph(m, rng.uniform(0.3, 0.6), seed=seed)
+        expected = clique_profile_by_sets(g, 6)
+        for r in range(3, 7):
+            assert _clique_profile(g, r, DEFAULT_CLIQUE_WORK_LIMIT) == expected[: r + 1]
+
+    @pytest.mark.parametrize(
+        "g,r",
+        [(random_graph(50, 0.5, seed=7), 5), (random_graph(64, 0.4, seed=8), 4),
+         (complete_graph(16), 16), (turan_blowup_graph(5, 4), 5)],
+        ids=["random50", "random64", "complete16", "turan5x4"],
+    )
+    def test_work_limit_is_the_step_count(self, g, r):
+        # One step per clique of size 1..r-1, whatever the graph.
+        expected = clique_profile_by_sets(g, r)
+        steps = sum(expected[1:r])
+        assert _clique_profile(g, r, steps) == expected
+        with pytest.raises(WorkLimitExceeded):
+            _clique_profile(g, r, steps - 1)
+
+    @pytest.mark.parametrize("r", [30, 1050])
+    def test_deep_clique_is_refused_not_recursed(self, r):
+        g = complete_graph(1100)
+        start = time.perf_counter()
+        with pytest.raises(WorkLimitExceeded):
+            count_cliques(g, r)
+        assert time.perf_counter() - start < 5
 
 
 def brute_disjoint_tuples(members, k):
