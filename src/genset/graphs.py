@@ -54,16 +54,19 @@ def disjointness_graph(fam: SetFamily, graph_cap: int = DEFAULT_GRAPH_CAP) -> Gr
     if fam.m > graph_cap:
         raise CapExceeded(f"family of size {fam.m} exceeds graph cap {graph_cap}")
     masks = fam.members
-    m = len(masks)
-    rows = [0] * m
-    for u in range(m):
-        mu = masks[u]
-        row_u = rows[u]
-        for v in range(u + 1, m):
-            if mu & masks[v] == 0:
-                row_u |= 1 << v
-                rows[v] |= 1 << u
-        rows[u] = row_u
+    # cols[e]: the vertices whose member contains element e. A member meets
+    # exactly the members in the columns of its own elements.
+    cols = [0] * fam.n
+    for v, g in enumerate(masks):
+        for e in _bits(g):
+            cols[e] |= 1 << v
+    full = (1 << len(masks)) - 1
+    rows = []
+    for v, g in enumerate(masks):
+        meets = 1 << v
+        for e in _bits(g):
+            meets |= cols[e]
+        rows.append(full ^ meets)
     return Graph(tuple(rows), labels=masks)
 
 

@@ -5,7 +5,9 @@ asks whether some family of m nonempty subsets is a k-generator. At every node
 it finds the smallest mask x not yet expressible; any completion must add a
 new member that is a subset of x, so branching is restricted to those
 candidates, with earlier-tried candidates excluded in later branches so each
-family is visited once.
+family is visited at most once. A count prune cuts nodes that cannot reach
+2^n disjoint unions, and a symmetry rule tries one candidate per orbit under
+the permutations of the elements of x in no chosen or tried non-singleton.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .errors import GensetError
+from .errors import CapExceeded, GensetError
 from .families import SetFamily, canonical_generator, canonical_size, trivial_lower_bound
 from .generate import add_member, is_k_generator
 
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_TIME_BUDGET = 600.0
+# Checked before anything is allocated. (8,3) already takes minutes; n = 16
+# keeps the 2^n-bit tables at 8 KiB.
+SEARCH_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -43,31 +48,54 @@ class _Budget(Exception):
 
 class _Searcher:
     def __init__(self, n: int, k: int, node_budget: int, deadline: float):
-        self.n = n
         self.k = k
         self.size = 1 << n
         self.full = (1 << self.size) - 1
-        # Candidate pool: every nonempty subset, largest first, then ascending mask.
-        self.pool = sorted(range(1, self.size), key=lambda g: (-bin(g).count("1"), g))
+        self.cands: dict[int, list[int]] = {}
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
 
-    def _count_prune(self, covered_count: int, c: int, slots: int) -> bool:
-        # Each still-missing mask needs a disjoint tuple using >= 1 new member.
-        k = self.k
-        extra = sum(
-            comb(slots, i) * sum(comb(c, j) for j in range(k - i + 1))
-            for i in range(1, min(k, slots) + 1)
-        )
-        return covered_count + extra < self.size
+    def _candidates(self, x: int) -> list[int]:
+        """The nonempty subsets of x, largest first, then ascending mask: the branching order."""
+        subs = []
+        g = x
+        while g:
+            subs.append(g)
+            g = (g - 1) & x
+        subs.sort(key=lambda g: (-g.bit_count(), g))
+        self.cands[x] = subs
+        return subs
 
     def find(self, target: int) -> Optional[list[int]]:
         """A k-generator of size <= target, or None if none exists."""
-        return self._dfs([1] * (self.k + 1), [], 0, target)
+        # Count prune. With c members chosen and slots = target - c to come, each
+        # still-missing mask needs a disjoint tuple of i >= 1 new members and
+        # j <= k - i old ones. The old j-tuples number 1, c, D_2 (the disjoint
+        # pairs among the chosen) and at most C(c, j) for j >= 3. So a node is
+        # cut when covered + base + per_pair[c] * D_2 < 2^n, i.e. when
+        # covered + per_pair[c] * D_2 < need[c].
+        k = self.k
+        self.target = target
+        self.need, self.per_pair = [], []
+        for c in range(target + 1):
+            slots = target - c
+            base = per_pair = 0
+            for i in range(1, min(k, slots) + 1):
+                ways = comb(slots, i)
+                base += ways * sum(comb(c, j) for j in range(k - i + 1) if j != 2)
+                if k - i >= 2:
+                    per_pair += ways
+            self.need.append(self.size - base)
+            self.per_pair.append(per_pair)
+        return self._dfs([1] * (k + 1), [], 0, 0, 0)
 
-    def _dfs(self, layers: list[int], chosen: list[int], skip: int, target: int) -> Optional[list[int]]:
-        # layers: the table of chosen. skip: bit g set if g is chosen or tried in an earlier branch.
+    def _dfs(
+        self, layers: list[int], chosen: list[int], skip: int, touched: int, pairs: int
+    ) -> Optional[list[int]]:
+        # layers: the table of chosen. skip: bit g set if g is chosen or tried in
+        # an earlier branch. touched: the union of the non-singleton members in
+        # skip. pairs: D_2, the number of disjoint pairs among chosen.
         self.nodes += 1
         if self.nodes > self.node_budget or (
             self.nodes % 4096 == 0 and time.monotonic() > self.deadline
@@ -76,23 +104,45 @@ class _Searcher:
         covered = layers[-1]
         if covered == self.full:
             return chosen
-        slots = target - len(chosen)
-        if slots == 0:
+        c = len(chosen)
+        if c == self.target:
             return None
-        if self._count_prune(covered.bit_count(), len(chosen), slots):
+        if covered.bit_count() + self.per_pair[c] * pairs < self.need[c]:
             return None
         x = (~covered & self.full)
         x = (x & -x).bit_length() - 1  # smallest ungenerated mask
-        for g in self.pool:
-            if g & ~x or skip >> g & 1:
+        # Symmetry. Every proper subset of x is a smaller mask, so generated; a
+        # singleton generates only itself, so every singleton of x is chosen.
+        # Swapping two elements of free (in x, in no non-singleton member of
+        # skip) thus fixes chosen, skip, the covered set and x, and maps the
+        # completions of this node onto themselves. In an orbit of completions,
+        # take one whose first member in branching order that is a subset of x
+        # ranks lowest: if its g & free were not the lowest popcount(g & free)
+        # bits of free, a swap would give that member a smaller mask and so a
+        # lower rank. Trying only such canonical g therefore misses no orbit.
+        free = x & ~touched
+        for g in self.cands.get(x) or self._candidates(x):
+            if skip >> g & 1:
+                continue
+            gf = g & free
+            if (free ^ gf) & ((1 << gf.bit_length()) - 1):
                 continue
             child = layers.copy()
             add_member(child, g)
-            found = self._dfs(child, chosen + [g], skip | 1 << g, target)
+            wider = touched | g if g & (g - 1) else touched
+            # D_2 enters the count prune only for k >= 3.
+            more = [h & g for h in chosen].count(0) if self.k > 2 else 0
+            found = self._dfs(child, chosen + [g], skip | 1 << g, wider, pairs + more)
             if found is not None:
                 return found
             skip |= 1 << g
+            touched = wider
         return None
+
+
+def _check_cap(n: int) -> None:
+    if n > SEARCH_CAP:
+        raise CapExceeded(f"n={n} exceeds the search cap {SEARCH_CAP}")
 
 
 def min_generator_size(
@@ -110,6 +160,7 @@ def min_generator_size(
     """
     if not 1 <= k <= n:
         raise GensetError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_cap(n)
     start = time.monotonic()
     deadline = start + time_budget
     lb = trivial_lower_bound(n, k)
@@ -147,6 +198,8 @@ def verify_conjecture_range(
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> list[SearchReport]:
     """min_generator_size over all k <= k_max, k <= n <= n_max; inconclusive entries pass through."""
+    if k_max >= 1:
+        _check_cap(n_max)  # before any case below the cap spends its budget
     reports = []
     for k in range(1, k_max + 1):
         for n in range(k, n_max + 1):

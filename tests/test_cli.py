@@ -118,6 +118,16 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args", [("-n", "40", "-k", "2"), ("--sweep", "--n-max", "40", "--k-max", "2")],
+        ids=["single", "sweep"],
+    )
+    def test_search_above_cap_is_three(self, args):
+        # Without the cap, n = 40 would list all 2^40 - 1 masks before any budget is read.
+        proc = run_cli("--no-meta", "search-min", *args, timeout=5)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert "Traceback" not in proc.stderr
+
 
 class TestConstruct:
     def test_construct_4_2(self):

@@ -44,6 +44,17 @@ def triple_loop_triangles(masks):
     return total
 
 
+def pair_loop_rows(masks):
+    """Disjointness rows by testing every pair of members."""
+    m = len(masks)
+    rows = [0] * m
+    for u, v in itertools.combinations(range(m), 2):
+        if masks[u] & masks[v] == 0:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return tuple(rows)
+
+
 def kneser_edge_closed_form(q):
     """Edges of the disjointness graph of the canonical 2-class generator on 2q elements."""
     return (3**q - 2 ** (q + 1) + 1) + (2**q - 1) ** 2
@@ -98,6 +109,21 @@ class TestDisjointnessGraph:
     def test_vertex_cap(self):
         with pytest.raises(CapExceeded):
             disjointness_graph(canonical_generator(4, 2), graph_cap=3)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            make_family(16, [sum(1 << e for e in c) for c in itertools.combinations(range(16), 3)]),
+            make_family(10, range(1, 1 << 10)),
+        ]
+        + [
+            make_family(n, random.Random(seed).sample(range(1 << n), m))
+            for seed, (n, m) in enumerate([(5, 20), (8, 90), (12, 300), (20, 200), (62, 150)])
+        ],
+        ids=["KG(16,3)", "P[10]-empty", "rand5", "rand8", "rand12", "rand20", "rand62"],
+    )
+    def test_rows_match_pair_loop(self, fam):
+        assert disjointness_graph(fam).rows == pair_loop_rows(fam.members)
 
 
 class TestCountCliques:

@@ -93,8 +93,10 @@ class TestMinGeneratorSize:
     @pytest.mark.parametrize(
         "n,k,nodes,witness",
         [
-            (6, 2, 3947, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48, 56]),
-            (7, 4, 9090, [1, 2, 3, 4, 8, 12, 16, 32, 48, 64]),
+            (6, 2, 2330, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48, 56]),
+            (7, 4, 2129, [1, 2, 3, 4, 8, 12, 16, 32, 48, 64]),
+            (7, 3, 33286, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 64, 96]),
+            (8, 5, 12351, [1, 2, 3, 4, 8, 12, 16, 32, 48, 64, 128]),
         ],
     )
     def test_search_tree_is_pinned(self, n, k, nodes, witness):
@@ -102,6 +104,22 @@ class TestMinGeneratorSize:
         report = min_generator_size(n, k)
         assert report.nodes_explored == nodes
         assert list(report.witness.members) == witness
+
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(1, 6) for k in range(1, n + 1)]
+    )
+    def test_find_is_exact_at_the_minimum(self, n, k):
+        # Iterative deepening never asks for the canonical size (the canonical
+        # generator is the witness there), and every known minimum is the
+        # canonical size, so a prune that cuts every real generator would still
+        # report the conjecture as holding. Ask at the minimum and one below.
+        # At k = 1 every nonempty mask must itself be a member.
+        m = (1 << n) - 1 if k == 1 else oracle_minimum(n, k)
+        searcher = search._Searcher(n, k, node_budget=10**7, deadline=float("inf"))
+        found = searcher.find(m)
+        assert found is not None and len(found) == m
+        assert is_k_generator(SetFamily(n, tuple(sorted(found))), k).holds
+        assert searcher.find(m - 1) is None
 
     def test_rejects_bad_params(self):
         with pytest.raises(GensetError):
