@@ -22,7 +22,6 @@ from .families import (
 from .generate import (
     Decomposition,
     GeneratorVerdict,
-    capped_layers,
     decompose,
     is_k_base,
     is_k_generator,

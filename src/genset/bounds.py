@@ -169,6 +169,8 @@ def small_union_probability(
             if union.bit_count() <= threshold:
                 hits += 1
         return ProbabilityEstimate(Fraction(hits, total), True)
+    if trials < 1:
+        raise GensetError(f"trials must be >= 1, got {trials}")
     if seed is None:
         raise GensetError("sampling mode requires a seed")
     rng = random.Random(seed)

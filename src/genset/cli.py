@@ -29,7 +29,11 @@ EXIT_BUDGET = 3
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    # argparse reports a ValueError as a usage error but lets ZeroDivisionError escape.
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}")
 
 
 def _jsonable(value):
@@ -220,7 +224,7 @@ def _cmd_check(args) -> int:
         verdict = gen_mod.is_k_base(fam, args.k, base_cap=args.base_cap)
         op = "is_k_base"
     else:
-        layers = gen_mod.capped_layers(fam, args.k, dp_cap=args.dp_cap)
+        layers = gen_mod.reachable_layers(fam, args.k, dp_cap=args.dp_cap)
         verdict = gen_mod.verdict_from_layers(layers, fam.n)
         op = "is_k_generator"
     record = {"op": op, "k": args.k, "holds": verdict.holds}
@@ -230,7 +234,7 @@ def _cmd_check(args) -> int:
     _emit(record)
     if target is not None:
         if layers is None:
-            layers = gen_mod.capped_layers(fam, args.k, dp_cap=args.dp_cap)
+            layers = gen_mod.reachable_layers(fam, args.k, dp_cap=args.dp_cap)
         dec = gen_mod.decompose(fam, layers, target)
         rec = {"op": "decompose", "target": fam_mod.format_mask(target), "found": dec is not None}
         if dec is not None:

@@ -64,13 +64,12 @@ def add_member(layers: list[int], g: SubsetMask) -> None:
 
 
 def reachable_layers(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> list[int]:
-    """Layers 0..k of the disjoint-union DP, each a 2^n-bit bitmap.
+    """Layers 0..min(k, n) of the disjoint-union DP, each a 2^n-bit bitmap.
 
     Bit x of layer j is set iff mask x is a union of at most j pairwise
     disjoint members. Empty members are skipped: they never extend a union.
-    At most n disjoint nonempty members fit in [n], so only layers up to
-    min(k, n) are built; the list still has k+1 entries, those above
-    min(k, n) references to it (capped_layers returns none of them).
+    At most n disjoint nonempty members fit in [n], so layers above n would
+    repeat layer n and the table decides the same as one of k + 1 layers.
     """
     if k < 0:
         raise GensetError("k must be >= 0")
@@ -80,17 +79,12 @@ def reachable_layers(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> li
     if top <= 1:
         # Layer 1 is the members themselves, set in one pass over a buffer
         # instead of one full-width kernel step per member.
-        return [1] + [1 | _membership_bitmap(fam)] * k
+        return [1] + [1 | _membership_bitmap(fam)] * top
     layers = [1] * (top + 1)  # only the empty set so far
     for g in fam.members:
         if g:
             add_member(layers, g)
-    return layers + [layers[top]] * (k - top)
-
-
-def capped_layers(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> list[int]:
-    """Layers 0..min(k, n) of reachable_layers; they decide the same as 0..k."""
-    return reachable_layers(fam, min(k, fam.n), dp_cap=dp_cap)
+    return layers
 
 
 def verdict_from_layers(layers: list[int], n: int) -> GeneratorVerdict:
@@ -108,15 +102,15 @@ def verdict_from_layers(layers: list[int], n: int) -> GeneratorVerdict:
 
 def is_k_generator(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> GeneratorVerdict:
     """Does every subset of [n] split into at most k disjoint members?"""
-    return verdict_from_layers(capped_layers(fam, k, dp_cap=dp_cap), fam.n)
+    return verdict_from_layers(reachable_layers(fam, k, dp_cap=dp_cap), fam.n)
 
 
 def decompose(fam: SetFamily, layers: list[int], x: SubsetMask) -> Optional[Decomposition]:
     """A witness split of x into at most k disjoint nonempty members, if one exists.
 
-    layers is the table reachable_layers(fam, k) or capped_layers(fam, k).
-    Greedy largest-first over its layers; parts are returned in descending
-    mask order. Returns None when x is not expressible.
+    layers is the table reachable_layers(fam, k). Greedy largest-first over
+    its layers; parts are returned in descending mask order. Returns None
+    when x is not expressible.
     """
     check_mask(x, fam.n)
     k = len(layers) - 1

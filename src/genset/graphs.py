@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import CapExceeded, FamilyFormatError, GensetError, WorkLimitExceeded
 from .families import SetFamily, SubsetMask
@@ -70,8 +70,13 @@ def disjointness_graph(fam: SetFamily, graph_cap: int = DEFAULT_GRAPH_CAP) -> Gr
     return Graph(tuple(rows), labels=masks)
 
 
-def _clique_profile(graph: Graph, r: int, work_limit: int) -> list[int]:
+def _clique_profile(
+    graph: Graph, r: int, work_limit: int, within: Optional[int] = None
+) -> list[int]:
     """[1, m, K_2 count, ..., K_r count] from one walk down the vertex labels.
+
+    Only the vertices in the mask within (all of them by default) are counted,
+    m among them: the walk starts from within.
 
     walk(rest, size) takes a clique of `size` vertices and rest, their common
     neighbors, all labeled below the clique. It takes the vertices of rest from
@@ -83,12 +88,15 @@ def _clique_profile(graph: Graph, r: int, work_limit: int) -> list[int]:
     way has 2^c - 1 nonempty subsets, all of them steps, so a clique of more
     than `deepest` vertices proves the limit exceeded before any deeper call.
     """
-    m = graph.m
-    if r <= 2:
-        return [1, m, graph.edge_count()][: r + 1]
+    if within is None:
+        if r <= 2:
+            return [1, graph.m, graph.edge_count()][: r + 1]
+        within = (1 << graph.m) - 1
+    elif r <= 1:
+        return [1, within.bit_count()][: r + 1]
     rows = graph.rows
     deepest = (work_limit + 1).bit_length() - 1  # largest c with 2^c - 1 <= work_limit
-    profile = [1, m] + [0] * (r - 1)
+    profile = [1, within.bit_count()] + [0] * (r - 1)
     work = 0
 
     def walk(rest: int, size: int) -> None:
@@ -116,19 +124,25 @@ def _clique_profile(graph: Graph, r: int, work_limit: int) -> list[int]:
                     walk(ext, size + 1)
         profile[size + 2] += found
 
-    walk((1 << m) - 1, 0)
+    walk(within, 0)
     return profile
 
 
 def count_cliques(
-    graph: Graph, r: int, work_limit: int = DEFAULT_CLIQUE_WORK_LIMIT
+    graph: Graph,
+    r: int,
+    work_limit: int = DEFAULT_CLIQUE_WORK_LIMIT,
+    within: Optional[int] = None,
 ) -> int:
-    """Exact number of r-cliques, by one walk that intersects bit rows down the vertex labels."""
+    """Exact number of r-cliques, by one walk that intersects bit rows down the vertex labels.
+
+    With a vertex mask within, only the cliques of the subgraph it induces count.
+    """
     if r < 1:
         raise GensetError("r must be >= 1")
-    if r > graph.m:
+    if r > (graph.m if within is None else within.bit_count()):
         return 0
-    return _clique_profile(graph, r, work_limit)[r]
+    return _clique_profile(graph, r, work_limit, within)[r]
 
 
 def count_disjoint_tuples(
@@ -174,16 +188,9 @@ def turan_blowup_graph(s: int, T: int, graph_cap: int = DEFAULT_GRAPH_CAP) -> Gr
     """Complete s-partite graph with parts of size T, vertices part-major."""
     if s < 1 or T < 1:
         raise GensetError("need s >= 1 and T >= 1")
-    m = s * T
-    if m > graph_cap:
-        raise CapExceeded(f"{m} vertices exceed graph cap {graph_cap}")
-    all_mask = (1 << m) - 1
-    rows = []
-    for v in range(m):
-        part = v // T
-        part_mask = ((1 << T) - 1) << (part * T)
-        rows.append(all_mask & ~part_mask)
-    return Graph(tuple(rows))
+    if s * T > graph_cap:
+        raise CapExceeded(f"{s * T} vertices exceed graph cap {graph_cap}")
+    return balanced_turan_graph(s * T, s)
 
 
 def balanced_turan_graph(l: int, s: int) -> Graph:
@@ -265,6 +272,8 @@ def erdos_max_check(l: int, s: int, r: int, l_cap: int = 7) -> ErdosMaxReport:
     """
     if not 1 <= r <= s:
         raise GensetError(f"need 1 <= r <= s, got r={r}, s={s}")
+    if l < 0:
+        raise GensetError(f"need l >= 0, got l={l}")
     if l > l_cap:
         raise CapExceeded(f"l={l} exceeds enumeration cap {l_cap}")
     pairs = [(u, v) for u in range(l) for v in range(u + 1, l)]
@@ -287,22 +296,21 @@ def erdos_max_check(l: int, s: int, r: int, l_cap: int = 7) -> ErdosMaxReport:
                 if rows[w] & common & ~((1 << (w + 1)) - 1):
                     return True
             return False
-        verts = _bits(common)
-        if len(verts) < s - 1:
+        # Most calls end here, before a Graph is built for the walk.
+        if common.bit_count() < s - 1:
             return False
-        return count_cliques(_induced(Graph(tuple(rows)), verts), s - 1) > 0
+        return count_cliques(Graph(tuple(rows)), s - 1, within=common) > 0
 
     def new_r_cliques(u: int, v: int) -> int:
-        # r-cliques created by edge (u, v): (r-2)-cliques in N(u) & N(v).
-        if r == 2:
-            return 1
+        # r-cliques created by edge (u, v): (r-2)-cliques in N(u) & N(v); none for r = 1.
+        if r <= 2:
+            return r - 1
         common = rows[u] & rows[v]
         if r == 3:
             return common.bit_count()
-        verts = _bits(common)
-        if len(verts) < r - 2:
+        if common.bit_count() < r - 2:
             return 0
-        return count_cliques(_induced(Graph(tuple(rows)), verts), r - 2)
+        return count_cliques(Graph(tuple(rows)), r - 2, within=common)
 
     def walk(idx: int, count: int):
         if idx == len(pairs):
@@ -321,9 +329,8 @@ def erdos_max_check(l: int, s: int, r: int, l_cap: int = 7) -> ErdosMaxReport:
             rows[v] &= ~(1 << u)
         walk(idx + 1, count)
 
-    walk(0, 0)
-    turan = balanced_turan_graph(l, s)
-    turan_count = count_cliques(turan, r) if l >= r else 0
+    walk(0, l if r == 1 else 0)  # the edgeless graph has l 1-cliques
+    turan_count = count_cliques(balanced_turan_graph(l, s), r)
     return ErdosMaxReport(
         l, s, r, best["count"], Graph(best["rows"]), turan_count,
         best["count"] == turan_count, best["leaves"],
@@ -336,18 +343,6 @@ def _bits(mask: int) -> list[int]:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
-
-
-def _induced(graph: Graph, vertices: Sequence[int]) -> Graph:
-    index = {v: i for i, v in enumerate(vertices)}
-    rows = []
-    for v in vertices:
-        acc = 0
-        for u in vertices:
-            if u != v and graph.has_edge(u, v):
-                acc |= 1 << index[u]
-        rows.append(acc)
-    return Graph(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -377,10 +372,12 @@ def dense_subset_fraction(
         raise GensetError(f"l={l} exceeds vertex count {m}")
     if l < r:
         raise GensetError(f"need l >= r, got l={l}, r={r}")
+    if sample is not None and sample < 1:
+        raise GensetError(f"sample must be >= 1, got {sample}")
 
     def is_dense(verts) -> bool:
-        sub = _induced(graph, verts)
-        return Fraction(count_cliques(sub, r), comb(l, r)) >= threshold
+        within = sum(1 << v for v in verts)
+        return Fraction(count_cliques(graph, r, within=within), comb(l, r)) >= threshold
 
     if sample is None:
         total = comb(m, l)
@@ -393,7 +390,7 @@ def dense_subset_fraction(
     if seed is None:
         raise GensetError("sampling mode requires a seed")
     rng = random.Random(seed)
-    dense = sum(1 for _ in range(sample) if is_dense(sorted(rng.sample(range(m), l))))
+    dense = sum(1 for _ in range(sample) if is_dense(rng.sample(range(m), l)))
     return DenseSubsetResult(dense / sample, False, None, sample)
 
 

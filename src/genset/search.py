@@ -7,7 +7,7 @@ new member that is a subset of x, so branching is restricted to those
 candidates, with earlier-tried candidates excluded in later branches so each
 family is visited at most once. A count prune cuts nodes that cannot reach
 2^n disjoint unions, and a symmetry rule tries one candidate per orbit under
-the permutations of the elements of x in no chosen or tried non-singleton.
+the permutations of the elements of x in no chosen non-singleton.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class _Searcher:
         self, layers: list[int], chosen: list[int], skip: int, touched: int, pairs: int
     ) -> Optional[list[int]]:
         # layers: the table of chosen. skip: bit g set if g is chosen or tried in
-        # an earlier branch. touched: the union of the non-singleton members in
-        # skip. pairs: D_2, the number of disjoint pairs among chosen.
+        # an earlier branch. touched: the union of the non-singleton members of
+        # chosen. pairs: D_2, the number of disjoint pairs among chosen.
         self.nodes += 1
         if self.nodes > self.node_budget or (
             self.nodes % 4096 == 0 and time.monotonic() > self.deadline
@@ -113,13 +113,17 @@ class _Searcher:
         x = (x & -x).bit_length() - 1  # smallest ungenerated mask
         # Symmetry. Every proper subset of x is a smaller mask, so generated; a
         # singleton generates only itself, so every singleton of x is chosen.
-        # Swapping two elements of free (in x, in no non-singleton member of
-        # skip) thus fixes chosen, skip, the covered set and x, and maps the
-        # completions of this node onto themselves. In an orbit of completions,
-        # take one whose first member in branching order that is a subset of x
-        # ranks lowest: if its g & free were not the lowest popcount(g & free)
-        # bits of free, a swap would give that member a smaller mask and so a
-        # lower rank. Trying only such canonical g therefore misses no orbit.
+        # Swapping two elements of free (in x, in no chosen non-singleton) thus
+        # fixes chosen, the covered set and x. It maps the completions of this
+        # node onto themselves: were the image of one to hold a failed sibling
+        # (tried here or at an ancestor, its branch returned None), take the
+        # shallowest level with one and the earliest there, h0; the image is a
+        # completion of h0's own branch, which found none. In an orbit of
+        # completions, take one whose first member in branching order that is
+        # a subset of x ranks lowest: if its g & free were not the lowest
+        # popcount(g & free) bits of free, a swap would give that member a
+        # smaller mask and so a lower rank. Trying only such canonical g
+        # therefore misses no orbit.
         free = x & ~touched
         for g in self.cands.get(x) or self._candidates(x):
             if skip >> g & 1:
@@ -136,7 +140,6 @@ class _Searcher:
             if found is not None:
                 return found
             skip |= 1 << g
-            touched = wider
         return None
 
 

@@ -78,9 +78,35 @@ class TestExitCodes:
             ({}, ("check", "--family", "{fam}", "-k", "2", "--decompose", "1,a")),
             ({}, ("check", "--family", "{fam}", "-k", "2", "--decompose", "9")),
             ({"fam": b"n=2\n\xff\n"}, ("check", "--family", "{fam}", "-k", "2")),
+            ({"g": "vertices=4\n0 1\n"}, ("experiment", "dense-subset", "--graph", "{g}",
+                                          "-l", "2", "-r", "2", "--threshold", "1/2",
+                                          "--sample", "0", "--seed", "1")),
+            ({"g": "vertices=4\n0 1\n"}, ("experiment", "dense-subset", "--graph", "{g}",
+                                          "-l", "2", "-r", "2", "--threshold", "1/2",
+                                          "--sample", "-3", "--seed", "1")),
+            ({"g": "vertices=4\n0 1\n"}, ("experiment", "dense-subset", "--graph", "{g}",
+                                          "-l", "2", "-r", "2", "--threshold", "1/0")),
+            ({}, ("experiment", "union-prob", "--family", "{fam}", "-t", "2",
+                  "--threshold", "2", "--sample", "0", "--seed", "1")),
+            ({}, ("experiment", "union-prob", "--family", "{fam}", "-t", "2",
+                  "--threshold", "2", "--sample", "-2", "--seed", "1")),
+            ({}, ("bounds", "union-check", "--family", "{fam}", "-k", "2", "-t", "2",
+                  "--trials", "0", "--seed", "1")),
+            ({}, ("bounds", "union-check", "--family", "{fam}", "-k", "2", "-t", "2",
+                  "--trials", "-2", "--seed", "1")),
+            ({}, ("bounds", "union-check", "--family", "{fam}", "-k", "2", "-t", "2",
+                  "--delta", "1/0")),
+            ({}, ("bounds", "lemma4", "-n", "10", "-k", "2", "-m", "32", "-t", "3",
+                  "--delta", "1/0")),
+            ({}, ("turan", "erdos-max", "-l", "-1", "-s", "2", "-r", "2")),
         ],
         ids=["config-value", "threads-key", "graph-header", "graph-edge",
-             "decompose-token", "decompose-range", "family-bytes"],
+             "decompose-token", "decompose-range", "family-bytes",
+             "dense-sample-zero", "dense-sample-negative", "dense-threshold-zero-denominator",
+             "union-prob-sample-zero", "union-prob-sample-negative",
+             "union-check-trials-zero", "union-check-trials-negative",
+             "union-check-delta-zero-denominator", "lemma4-delta-zero-denominator",
+             "erdos-max-negative-l"],
     )
     def test_bad_input_is_two_with_nothing_on_stdout(self, tmp_path, fam42, files, args):
         paths = {"fam": fam42}
@@ -387,6 +413,21 @@ _config_text = st.lists(
     st.one_of(st.tuples(_config_key, st.one_of(_number, _junk)).map("=".join), _junk), max_size=3
 ).map("\n".join)
 _small = st.integers(-1, 4).map(str)
+_tiny = st.integers(-1, 3).map(str)
+_rational = st.one_of(
+    st.tuples(st.integers(-1, 3), st.integers(0, 3)).map("{0[0]}/{0[1]}".format), _junk
+)
+_sampling = st.one_of(st.just([]), st.tuples(_tiny, st.sampled_from([[], ["--seed", "1"]])))
+
+
+def _with(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _sampled(flag):
+    return _sampling.map(lambda p: [flag, p[0], *p[1]] if p else [])
+
+
 _command = st.one_of(
     st.tuples(
         st.just(["check", "--family", "FAM", "-k"]), _small,
@@ -401,6 +442,24 @@ _command = st.one_of(
     _small.map(lambda k: ["bounds", "coverage", "--family", "FAM", "-k", k]),
     st.tuples(st.integers(1, 3), st.integers(0, 2)).map(
         lambda p: ["blowup", "--graph", "GRAPH", "-a", str(p[0]), "-t", str(p[1])]
+    ),
+    st.tuples(_small, _small, _small).map(
+        lambda p: ["turan", "erdos-max", "-l", p[0], "-s", p[1], "-r", p[2]]
+    ),
+    st.tuples(_tiny, _tiny, _sampled("--sample")).map(
+        lambda p: ["experiment", "union-prob", "--family", "FAM", "-t", p[0],
+                   "--threshold", p[1], *p[2]]
+    ),
+    st.tuples(_tiny, _tiny, _rational, _sampled("--sample")).map(
+        lambda p: ["experiment", "dense-subset", "--graph", "GRAPH", "-l", p[0], "-r", p[1],
+                   "--threshold", p[2], *p[3]]
+    ),
+    st.tuples(_tiny, _tiny, _with("--delta", _rational), _sampled("--trials")).map(
+        lambda p: ["bounds", "union-check", "--family", "FAM", "-k", p[0], "-t", p[1],
+                   *p[2], *p[3]]
+    ),
+    st.tuples(_tiny, _tiny, _tiny, _tiny, _with("--delta", _rational)).map(
+        lambda p: ["bounds", "lemma4", "-n", p[0], "-k", p[1], "-m", p[2], "-t", p[3], *p[4]]
     ),
 )
 
@@ -431,5 +490,5 @@ class TestExitContractFuzz:
             assert any(
                 rec.get(key) is False
                 for rec in records
-                for key in ("holds", "found", "attained_by_turan")
+                for key in ("holds", "found", "attained_by_turan", "bound_holds")
             ), records

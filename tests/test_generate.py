@@ -9,7 +9,6 @@ from genset import (
     GensetError,
     WorkLimitExceeded,
     canonical_generator,
-    capped_layers,
     count_disjoint_tuples,
     decompose,
     is_k_base,
@@ -64,7 +63,8 @@ class TestReachableLayers:
     def test_no_singletons_available(self):
         fam = make_family(2, [0b11])
         layers = reachable_layers(fam, 5)
-        assert bitmap_to_set(layers[5]) == {0b00, 0b11}
+        assert len(layers) == 3
+        assert bitmap_to_set(layers[2]) == {0b00, 0b11}
 
     def test_canonical_4_2_covers_everything(self):
         fam = canonical_generator(4, 2)
@@ -84,10 +84,12 @@ class TestReachableLayers:
     @given(small_families, st.integers(0, 4))
     def test_layers_monotone_and_match_brute_force(self, fam, k):
         layers = reachable_layers(fam, k)
+        assert len(layers) == min(k, fam.n) + 1
         for lo, hi in zip(layers, layers[1:]):
             assert lo & ~hi == 0  # layer_j subset of layer_{j+1}
         for j in range(k + 1):
-            assert bitmap_to_set(layers[j]) == brute_reachable(fam, j)
+            # No union of more than n disjoint nonempty members exists.
+            assert bitmap_to_set(layers[min(j, fam.n)]) == brute_reachable(fam, j)
 
     @pytest.mark.parametrize("n", range(7, 13))
     def test_matches_brute_force_on_random_families_past_one_word(self, n):
@@ -115,17 +117,18 @@ class TestReachableLayers:
                 assert layers == reachable_layers(SetFamily(n, tuple(sorted(members + [g]))), k)
 
     def test_layers_above_n_repeat_layer_n(self):
+        # Layers above n would repeat layer n, so none is built: k = 7 on
+        # [3] gives the table of k = 3, whose top layer covers everything.
         fam = make_family(3, [0b001, 0b010, 0b100, 0b011])
         layers = reachable_layers(fam, 7)
-        assert len(layers) == 8
-        assert layers[4:] == [layers[3]] * 4
-        assert bitmap_to_set(layers[3]) == set(range(8))
+        assert layers == reachable_layers(fam, 3)
+        assert bitmap_to_set(layers[-1]) == set(range(8))
 
     def test_capped_layers_stop_at_n(self):
+        # A huge k costs no more than k = n, also on the layer-1 path (n = 1).
         fam = make_family(3, [0b001, 0b010, 0b100, 0b011])
-        assert capped_layers(fam, 10**9) == reachable_layers(fam, 3)
-        assert capped_layers(fam, 2) == reachable_layers(fam, 2)
-        assert capped_layers(fam, 1) == reachable_layers(fam, 1)
+        assert reachable_layers(fam, 10**6) == reachable_layers(fam, 3)
+        assert reachable_layers(make_family(1, [0b1]), 10**6) == [1, 0b11]
 
 
 class TestIsKGenerator:

@@ -71,6 +71,19 @@ def complete_graph(m):
     return Graph(tuple(full ^ (1 << v) for v in range(m)))
 
 
+def induced_subgraph(g, vertices):
+    """The subgraph on vertices, relabeled 0..len(vertices)-1 in the given order."""
+    index = {v: i for i, v in enumerate(vertices)}
+    rows = []
+    for v in vertices:
+        acc = 0
+        for u in vertices:
+            if u != v and g.has_edge(u, v):
+                acc |= 1 << index[u]
+        rows.append(acc)
+    return Graph(tuple(rows))
+
+
 def clique_profile_by_sets(g, r):
     """Independent oracle: [1, K_1, ..., K_r] by growing cliques upward over Python sets."""
     nbrs = [{u for u in range(g.m) if g.has_edge(u, v)} for v in range(g.m)]
@@ -156,6 +169,20 @@ class TestCountCliques:
                 if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2))
             )
             assert count_cliques(g, r) == expected
+
+    @pytest.mark.parametrize("m", range(10, 71, 10))
+    def test_within_mask_matches_relabeled_subgraph(self, m):
+        rng = random.Random(m)
+        g = random_graph(m, rng.uniform(0.3, 0.8), seed=m)
+        # The empty mask, masks with fewer than r vertices, and random ones.
+        sizes = [0, 1, 2, 3, 4] + [rng.randint(5, m) for _ in range(6)]
+        for size in sizes:
+            verts = sorted(rng.sample(range(m), size))
+            within = sum(1 << v for v in verts)
+            sub = induced_subgraph(g, verts)
+            for r in range(1, 6):
+                assert count_cliques(g, r, within=within) == count_cliques(sub, r), (size, r)
+            assert count_cliques(g, 10**9, within=within) == 0
 
     def test_closed_form_grid(self):
         for s in range(1, 6):
@@ -351,6 +378,24 @@ class TestErdosMaxCheck:
         rep = erdos_max_check(5, 2, 2)
         assert count_cliques(rep.max_graph, 3) == 0
         assert rep.max_graph.edge_count() == rep.max_count
+
+    @pytest.mark.parametrize("s", [4, 5])
+    def test_general_branches_up_to_6(self, s):
+        # s >= 4 tests K_{s+1} by a clique count, and r >= 4 counts the gained
+        # cliques by one; neither has a closed-form shortcut. At l = 4 the
+        # last edge of the one K_4 has exactly two common neighbors.
+        for l in range(4, 7):
+            for r in range(2, s + 1):
+                rep = erdos_max_check(l, s, r)
+                assert rep.attained_by_turan, (l, s, r)
+                assert count_cliques(rep.max_graph, r) == rep.max_count
+                assert count_cliques(rep.max_graph, s + 1) == 0
+
+    def test_one_cliques_are_the_vertices(self):
+        for s in range(1, 4):
+            for l in range(1, 6):
+                rep = erdos_max_check(l, s, 1)
+                assert rep.max_count == rep.turan_count == l, (l, s)
 
     def test_l_cap(self):
         with pytest.raises(CapExceeded):

@@ -93,10 +93,10 @@ class TestMinGeneratorSize:
     @pytest.mark.parametrize(
         "n,k,nodes,witness",
         [
-            (6, 2, 2330, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48, 56]),
-            (7, 4, 2129, [1, 2, 3, 4, 8, 12, 16, 32, 48, 64]),
-            (7, 3, 33286, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 64, 96]),
-            (8, 5, 12351, [1, 2, 3, 4, 8, 12, 16, 32, 48, 64, 128]),
+            (6, 2, 2086, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48, 56]),
+            (7, 4, 1341, [1, 2, 3, 4, 8, 12, 16, 32, 48, 64]),
+            (7, 3, 24159, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 64, 96]),
+            (8, 5, 6693, [1, 2, 3, 4, 8, 12, 16, 32, 48, 64, 128]),
         ],
     )
     def test_search_tree_is_pinned(self, n, k, nodes, witness):
