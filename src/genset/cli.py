@@ -80,9 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-meta", action="store_true", help="omit the timestamped meta record")
     parser.add_argument("--config", help="key=value file overriding cap defaults")
     parser.add_argument("--dp-cap", type=int, default=gen_mod.DEFAULT_DP_CAP,
-                        help="max n for the 2^n disjoint-union table")
-    parser.add_argument("--base-cap", type=int, default=gen_mod.DEFAULT_BASE_CAP,
-                        help="max n for the k-base check")
+                        help="max n for the 2^n union table (k-generator and k-base checks)")
     parser.add_argument("--graph-cap", type=int, default=graph_mod.DEFAULT_GRAPH_CAP,
                         help="max vertices for graph construction")
     parser.add_argument("--node-budget", type=int, default=search_mod.DEFAULT_NODE_BUDGET)
@@ -195,7 +193,7 @@ def _apply_config(args) -> None:
                 continue
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in {"dp_cap", "base_cap", "graph_cap", "node_budget", "time_budget"}:
+            if key not in {"dp_cap", "graph_cap", "node_budget", "time_budget"}:
                 raise GensetError(f"unknown config key {key!r}")
             try:
                 setattr(args, key, float(val) if key == "time_budget" else int(val))
@@ -221,7 +219,7 @@ def _cmd_check(args) -> int:
     status = EXIT_OK
     layers = None
     if args.base:
-        verdict = gen_mod.is_k_base(fam, args.k, base_cap=args.base_cap)
+        verdict = gen_mod.is_k_base(fam, args.k, dp_cap=args.dp_cap)
         op = "is_k_base"
     else:
         layers = gen_mod.reachable_layers(fam, args.k, dp_cap=args.dp_cap)

@@ -7,6 +7,9 @@ x + g, one layer up, so with disj the bitmap of those positions the update is
 
     layers[j] |= (layers[j-1] & disj) << g        for j = k..1
 
+The k-base table, where unions may overlap, is the same table with one more
+step: layer j-1 first has the elements of g folded out of it (see add_member).
+
 Members come in ascending order, so the layers and disj are only as wide as
 the largest mask reached so far. Memory is the k+1 layers (k capped at n) and
 the temporaries of one step, at most 2^n bits each.
@@ -22,8 +25,6 @@ from .families import SetFamily, SubsetMask, check_mask
 
 # Tables of 2^n bits per layer; 26 -> 8 MiB per layer.
 DEFAULT_DP_CAP = 26
-# The base check builds k numpy arrays of 2^n int64 entries.
-DEFAULT_BASE_CAP = 18
 
 
 @dataclass(frozen=True)
@@ -54,22 +55,37 @@ def _membership_bitmap(fam: SetFamily) -> int:
     return int.from_bytes(buf, "little")
 
 
-def add_member(layers: list[int], g: SubsetMask) -> None:
-    """Extend a disjoint-union table of two or more layers in place by one nonempty member g."""
+def add_member(layers: list[int], g: SubsetMask, overlap: bool = False) -> None:
+    """Extend a table of two or more layers in place by one nonempty member g.
+
+    With overlap the unions may overlap (the k-base table), else they are disjoint.
+    """
     # The layers are nested, so no step reads a position above the highest
     # one in layer top-1; disj needs only the bits of that position's width.
     disj = _disjoint_positions(g, (layers[-2].bit_length() - 1).bit_length())
     for j in range(len(layers) - 1, 0, -1):
-        layers[j] |= (layers[j - 1] & disj) << g
+        below = layers[j - 1]
+        if overlap:
+            # y | g = (y & ~g) + g, so fold the elements of g out of y first.
+            # The fold writes y - s for every s within g, y & ~g among them.
+            # Where y - s misses g it shares no bit with s, so y = (y - s) | s
+            # with no borrow and y - s is exactly y & ~g; disj keeps just those.
+            for b in range(g.bit_length()):
+                if g >> b & 1:
+                    below |= below >> (1 << b)
+        layers[j] |= (below & disj) << g
 
 
-def reachable_layers(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> list[int]:
-    """Layers 0..min(k, n) of the disjoint-union DP, each a 2^n-bit bitmap.
+def reachable_layers(
+    fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP, overlap: bool = False
+) -> list[int]:
+    """Layers 0..min(k, n) of the union DP, each a 2^n-bit bitmap.
 
-    Bit x of layer j is set iff mask x is a union of at most j pairwise
-    disjoint members. Empty members are skipped: they never extend a union.
-    At most n disjoint nonempty members fit in [n], so layers above n would
-    repeat layer n and the table decides the same as one of k + 1 layers.
+    Bit x of layer j is set iff mask x is a union of at most j members,
+    pairwise disjoint unless overlap. Empty members are skipped: they never
+    extend a union. A union equal to x needs at most |x| <= n nonempty
+    members, so layers above n would repeat layer n and the table decides
+    the same as one of k + 1 layers.
     """
     if k < 0:
         raise GensetError("k must be >= 0")
@@ -83,12 +99,12 @@ def reachable_layers(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> li
     layers = [1] * (top + 1)  # only the empty set so far
     for g in fam.members:
         if g:
-            add_member(layers, g)
+            add_member(layers, g, overlap)
     return layers
 
 
 def verdict_from_layers(layers: list[int], n: int) -> GeneratorVerdict:
-    """The k-generator verdict read off the top layer of a reachable_layers table.
+    """The verdict read off the top layer of a reachable_layers table.
 
     On failure the counterexample is the numerically smallest uncovered mask.
     """
@@ -137,42 +153,6 @@ def decompose(fam: SetFamily, layers: list[int], x: SubsetMask) -> Optional[Deco
     return Decomposition(tuple(sorted(parts, reverse=True)))
 
 
-def _subset_transform(a, n: int, op):
-    """Zeta (op=np.add) or Moebius (op=np.subtract) over the subset lattice, in place."""
-    for b in range(n):
-        step = 1 << b
-        v = a.reshape(-1, 2 * step)
-        op(v[:, step:], v[:, :step], out=v[:, step:])
-    return a
-
-
-def is_k_base(fam: SetFamily, k: int, base_cap: int = DEFAULT_BASE_CAP) -> GeneratorVerdict:
-    """Like is_k_generator but unions may overlap.
-
-    Layer step is an OR-convolution with the membership indicator, computed
-    through subset zeta/Moebius transforms: the pair count with union exactly
-    x is mobius(zeta(covered) * zeta(members))[x].
-    """
-    import numpy as np
-
-    if k < 0:
-        raise GensetError("k must be >= 0")
-    if fam.n > base_cap:
-        raise CapExceeded(f"n={fam.n} exceeds base-check cap {base_cap}")
-    n = fam.n
-    size = 1 << n
-    memb = np.zeros(size, dtype=np.int64)
-    memb[list(fam.members)] = 1
-    zm = _subset_transform(memb.copy(), n, np.add)
-    covered = np.zeros(size, dtype=bool)
-    covered[0] = True
-    # A union of members equal to x needs at most |x| <= n of them.
-    for _ in range(min(k, n)):
-        if covered.all():
-            break
-        zc = _subset_transform(covered.astype(np.int64), n, np.add)
-        pairs = _subset_transform(zc * zm, n, np.subtract)
-        covered |= pairs > 0
-    if covered.all():
-        return GeneratorVerdict(True)
-    return GeneratorVerdict(False, int(np.flatnonzero(~covered)[0]))
+def is_k_base(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> GeneratorVerdict:
+    """Like is_k_generator but unions may overlap."""
+    return verdict_from_layers(reachable_layers(fam, k, dp_cap=dp_cap, overlap=True), fam.n)

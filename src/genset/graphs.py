@@ -211,6 +211,8 @@ def turan_clique_closed_form(s: int, T: int, r: int) -> int:
     """Number of r-cliques in the s-partite Turán graph with parts of size T: C(s, r) T^r."""
     if not 1 <= r <= s:
         raise GensetError(f"need 1 <= r <= s, got r={r}, s={s}")
+    if T < 1:
+        raise GensetError(f"need T >= 1, got T={T}")
     return comb(s, r) * T**r
 
 

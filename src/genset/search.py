@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb
+from math import comb, isnan
 from typing import Optional
 
 from .errors import CapExceeded, GensetError
@@ -148,6 +148,12 @@ def _check_cap(n: int) -> None:
         raise CapExceeded(f"n={n} exceeds the search cap {SEARCH_CAP}")
 
 
+def _check_time_budget(time_budget: float) -> None:
+    # No clock reading is ever past a NaN deadline, so NaN would mean no budget.
+    if isnan(time_budget):
+        raise GensetError("time budget must be a number, got nan")
+
+
 def min_generator_size(
     n: int,
     k: int,
@@ -164,6 +170,7 @@ def min_generator_size(
     if not 1 <= k <= n:
         raise GensetError(f"need 1 <= k <= n, got k={k}, n={n}")
     _check_cap(n)
+    _check_time_budget(time_budget)
     start = time.monotonic()
     deadline = start + time_budget
     lb = trivial_lower_bound(n, k)
@@ -201,6 +208,7 @@ def verify_conjecture_range(
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> list[SearchReport]:
     """min_generator_size over all k <= k_max, k <= n <= n_max; inconclusive entries pass through."""
+    _check_time_budget(time_budget)
     if k_max >= 1:
         _check_cap(n_max)  # before any case below the cap spends its budget
     reports = []

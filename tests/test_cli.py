@@ -99,6 +99,10 @@ class TestExitCodes:
             ({}, ("bounds", "lemma4", "-n", "10", "-k", "2", "-m", "32", "-t", "3",
                   "--delta", "1/0")),
             ({}, ("turan", "erdos-max", "-l", "-1", "-s", "2", "-r", "2")),
+            ({}, ("turan", "closed-form", "-s", "2", "-T", "-1", "-r", "1")),
+            ({}, ("--time-budget", "nan", "search-min", "-n", "3", "-k", "2")),
+            ({}, ("--time-budget", "nan", "search-min", "--sweep", "--n-max", "3", "--k-max", "2")),
+            ({"cfg": "time_budget=nan\n"}, ("--config", "{cfg}", "search-min", "-n", "3", "-k", "2")),
         ],
         ids=["config-value", "threads-key", "graph-header", "graph-edge",
              "decompose-token", "decompose-range", "family-bytes",
@@ -106,7 +110,8 @@ class TestExitCodes:
              "union-prob-sample-zero", "union-prob-sample-negative",
              "union-check-trials-zero", "union-check-trials-negative",
              "union-check-delta-zero-denominator", "lemma4-delta-zero-denominator",
-             "erdos-max-negative-l"],
+             "erdos-max-negative-l", "closed-form-negative-T", "time-budget-nan",
+             "sweep-time-budget-nan", "config-time-budget-nan"],
     )
     def test_bad_input_is_two_with_nothing_on_stdout(self, tmp_path, fam42, files, args):
         paths = {"fam": fam42}
@@ -197,6 +202,22 @@ class TestCheck:
         assert proc.returncode == 1
         record = json.loads(proc.stdout)
         assert record["op"] == "is_k_base" and record["counterexample"] == "1"
+
+    @pytest.mark.parametrize(
+        "family,code", [("n=3\n1,2\n2,3\n", 1), ("n=3\n1\n2\n3\n1,2\n2,3\n", 0)],
+        ids=["not-base", "base"],
+    )
+    def test_base_check_runs_without_numpy(self, tmp_path, family, code):
+        # The k-base table is the generator table; no numpy import is left.
+        path = tmp_path / "f.txt"
+        path.write_text(family)
+        script = (
+            "import sys; sys.modules['numpy'] = None; from genset import cli; "
+            f"sys.exit(cli.main(['--no-meta', 'check', '--family', {str(path)!r}, '-k', '2', '--base']))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert json.loads(proc.stdout)["holds"] is (code == 0)
 
     @pytest.mark.parametrize(
         "family,extra",

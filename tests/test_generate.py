@@ -36,6 +36,18 @@ def brute_reachable(fam, k):
     return reach
 
 
+def brute_overlapping(fam, k):
+    """Overlapping-union reachability by direct enumeration of all <=k-subfamilies."""
+    reach = {0}
+    for j in range(1, k + 1):
+        for combo in itertools.combinations(fam.members, j):
+            union = 0
+            for a in combo:
+                union |= a
+            reach.add(union)
+    return reach
+
+
 def bitmap_to_set(bitmap):
     out = set()
     x = 0
@@ -212,7 +224,7 @@ class TestIsKBase:
     def test_cap_enforced(self):
         fam = make_family(5, [0b1])
         with pytest.raises(CapExceeded):
-            is_k_base(fam, 2, base_cap=4)
+            is_k_base(fam, 2, dp_cap=4)
 
     @settings(max_examples=150)
     @given(small_families, st.integers(0, 3))
@@ -234,6 +246,50 @@ class TestIsKBase:
     def test_generator_implies_base_property(self, fam, k):
         if is_k_generator(fam, k).holds:
             assert is_k_base(fam, k).holds
+
+
+def _random_family(rng, n):
+    return SetFamily(n, tuple(sorted(rng.sample(range(1, 1 << n), rng.randint(4, 16)))))
+
+
+class TestOverlapTable:
+    """The k-base table: the generator table's builder with the fold step."""
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_matches_brute_force_layer_by_layer(self, n):
+        # Members of several bits over tables wider than one machine word: a
+        # fold that skips any element of g leaves some y | g unmarked.
+        rng = random.Random(200 + n)
+        for _ in range(3):
+            fam = _random_family(rng, n)
+            for k in range(5):
+                layers = reachable_layers(fam, k, overlap=True)
+                assert len(layers) == k + 1
+                for j in range(k + 1):
+                    assert bitmap_to_set(layers[j]) == brute_overlapping(fam, j)
+
+    @pytest.mark.parametrize("n", [3, 7, 10])
+    def test_add_member_equals_building_with_the_member(self, n):
+        rng = random.Random(300 + n)
+        for _ in range(5):
+            members = rng.sample(range(1, 1 << n), rng.randint(0, 6))
+            g = rng.choice([x for x in range(1, 1 << n) if x not in members])
+            for k in range(1, 4):
+                layers = reachable_layers(SetFamily(n, tuple(sorted(members))), k, overlap=True)
+                add_member(layers, g, overlap=True)
+                with_g = SetFamily(n, tuple(sorted(members + [g])))
+                assert layers == reachable_layers(with_g, k, overlap=True)
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_generator_layers_lie_within_base_layers(self, n):
+        rng = random.Random(400 + n)
+        for _ in range(3):
+            fam = _random_family(rng, n)
+            for k in range(5):
+                disjoint = reachable_layers(fam, k)
+                overlapping = reachable_layers(fam, k, overlap=True)
+                for lo, hi in zip(disjoint, overlapping):
+                    assert lo & ~hi == 0
 
 
 class TestCountDisjointTuples:
