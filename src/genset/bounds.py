@@ -2,7 +2,9 @@
 
 Powers of two with non-integral exponents are evaluated with mpmath at a
 configurable precision (default 113 bits) and flagged as inexact; whenever the
-exponent is an integer the value stays an exact Fraction.
+exponent is an integer the value stays an exact Fraction. mpmath is imported
+only on those inexact branches (a non-integral power of two, or the log of an
+m that is not a power of two), so exact bounds never load it.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, sqrt
-from typing import Optional, Union
-
-import mpmath
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import CapExceeded, GensetError
 from .families import (
@@ -27,7 +27,9 @@ from .graphs import count_disjoint_tuples
 DEFAULT_PRECISION_BITS = 113
 DEFAULT_EXACT_BUDGET = 2_000_000
 
-Number = Union[Fraction, mpmath.mpf]
+if TYPE_CHECKING:
+    import mpmath
+    Number = Union[Fraction, mpmath.mpf]
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,7 @@ def pow2(exponent: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> Bo
         e = exponent.numerator
         value = Fraction(2**e) if e >= 0 else Fraction(1, 2**-e)
         return BoundValue(value, True)
+    import mpmath
     with mpmath.workprec(precision_bits):
         value = mpmath.power(2, mpmath.mpf(exponent.numerator) / exponent.denominator)
     return BoundValue(value, False, precision_bits)
@@ -75,6 +78,7 @@ class BoundParams:
             return BoundValue(
                 Fraction(self.m.bit_length() - 1, self.n) - Fraction(1, self.k + 1), True
             )
+        import mpmath
         with mpmath.workprec(precision_bits):
             val = mpmath.log(self.m, 2) / self.n - mpmath.mpf(1) / (self.k + 1)
         return BoundValue(val, False, precision_bits)
@@ -101,11 +105,9 @@ def lemma4_bound(p: BoundParams, precision_bits: int = DEFAULT_PRECISION_BITS) -
         two_pow = pow2(p.n * (1 - Fraction(delta.value) * p.t), precision_bits)
         if two_pow.exact:
             return BoundValue(two_pow.value * rest, True)
-        factor = two_pow.value
-    else:
-        with mpmath.workprec(precision_bits):
-            factor = mpmath.power(2, p.n * (1 - delta.value * p.t))
+    import mpmath
     with mpmath.workprec(precision_bits):
+        factor = two_pow.value if delta.exact else mpmath.power(2, p.n * (1 - delta.value * p.t))
         return BoundValue(
             factor * mpmath.mpf(rest.numerator) / rest.denominator,
             False,
@@ -122,6 +124,7 @@ def analytic_union_bound(
     if n % (k + 1) == 0:
         value = Fraction(2**n) * Fraction(2 ** (n // (k + 1)), m) ** t
         return BoundValue(value, True)
+    import mpmath
     with mpmath.workprec(precision_bits):
         value = mpmath.power(2, n) * mpmath.power(
             mpmath.power(2, mpmath.mpf(n) / (k + 1)) / m, t

@@ -1,7 +1,8 @@
 """Command-line surface: one subcommand per operation group, NDJSON/CSV output.
 
 Exit status: 0 success, 1 a checked property fails, 2 usage or input error,
-3 a resource cap or budget was exceeded.
+3 a resource cap or budget was exceeded. The graphs and bounds layers are
+imported only inside the handlers that use them.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CapExceeded, FamilyFormatError, GensetError
-from . import bounds as bounds_mod
 from . import families as fam_mod
 from . import generate as gen_mod
-from . import graphs as graph_mod
 from . import search as search_mod
 
 EXIT_OK = 0
@@ -39,13 +38,16 @@ def _fraction(text: str) -> Fraction:
 def _jsonable(value):
     if isinstance(value, Fraction):
         return {"rational": f"{value.numerator}/{value.denominator}", "approx": float(value)}
-    if isinstance(value, bounds_mod.BoundValue):
-        out = _jsonable(value.value) if value.exact else {"approx": float(value.value)}
-        out["exact"] = value.exact
-        if value.precision_bits is not None:
-            out["precision_bits"] = value.precision_bits
-        return out
     return value
+
+
+def _bound_json(bound) -> dict:
+    """A bounds.BoundValue: its rational when exact, else its float and precision."""
+    out = _jsonable(bound.value) if bound.exact else {"approx": float(bound.value)}
+    out["exact"] = bound.exact
+    if bound.precision_bits is not None:
+        out["precision_bits"] = bound.precision_bits
+    return out
 
 
 def _emit(record: dict, out=None) -> None:
@@ -57,9 +59,16 @@ def _read_family(path: str) -> fam_mod.SetFamily:
         return fam_mod.parse_family(fh.read())
 
 
-def _read_graph(path: str, graph_cap: int) -> graph_mod.Graph:
-    with open(path) as fh:
-        return graph_mod.parse_graph(fh.read(), graph_cap=graph_cap)
+def _graphs(args):
+    """The graphs layer, imported on first use; --graph-cap defaults to its cap."""
+    from . import graphs
+    args.graph_cap = graphs.DEFAULT_GRAPH_CAP if args.graph_cap is None else args.graph_cap
+    return graphs
+
+
+def _read_graph(args):
+    with open(args.graph) as fh:
+        return _graphs(args).parse_graph(fh.read(), graph_cap=args.graph_cap)
 
 
 def _parse_set(text: str, n: int) -> int:
@@ -81,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value file overriding cap defaults")
     parser.add_argument("--dp-cap", type=int, default=gen_mod.DEFAULT_DP_CAP,
                         help="max n for the 2^n union table (k-generator and k-base checks)")
-    parser.add_argument("--graph-cap", type=int, default=graph_mod.DEFAULT_GRAPH_CAP,
+    parser.add_argument("--graph-cap", type=int,
                         help="max vertices for graph construction")
     parser.add_argument("--node-budget", type=int, default=search_mod.DEFAULT_NODE_BUDGET)
     parser.add_argument("--time-budget", type=float, default=search_mod.DEFAULT_TIME_BUDGET)
@@ -202,6 +211,10 @@ def _apply_config(args) -> None:
 
 
 def _cmd_construct(args) -> int:
+    size = fam_mod.canonical_size(args.n, args.k)  # about 200 bytes a member once built
+    if (size - 1).bit_length() > args.dp_cap - 4:
+        raise CapExceeded(f"canonical({args.n},{args.k}) has {size} members,"
+                          f" above 2^(dp-cap - 4) = 2^{args.dp_cap - 4}")
     fam = fam_mod.canonical_generator(args.n, args.k)
     text = fam_mod.format_family(fam)
     if args.output:
@@ -291,11 +304,12 @@ def _cmd_search_min(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    graph_mod = _graphs(args)
     if args.family:
         fam = _read_family(args.family)
         g = graph_mod.disjointness_graph(fam, graph_cap=args.graph_cap)
     else:
-        g = _read_graph(args.graph, args.graph_cap)
+        g = _read_graph(args)
     record = {"vertices": g.m, "edges": g.edge_count()}
     if args.count_cliques is not None:
         record[f"k{args.count_cliques}_count"] = graph_mod.count_cliques(g, args.count_cliques)
@@ -312,6 +326,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_turan(args) -> int:
+    graph_mod = _graphs(args)
     if args.action == "eta":
         _emit({"eta": _jsonable(graph_mod.turan_eta(args.r, args.s)), "r": args.r, "s": args.s})
         return EXIT_OK
@@ -341,8 +356,8 @@ def _cmd_turan(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
-    g = _read_graph(args.graph, args.graph_cap)
-    classes = graph_mod.find_blowup(g, args.a, args.t)
+    g = _read_graph(args)
+    classes = _graphs(args).find_blowup(g, args.a, args.t)
     record = {"a": args.a, "t": args.t, "found": classes is not None}
     if classes is not None:
         record["classes"] = [list(c) for c in classes]
@@ -354,13 +369,14 @@ def _cmd_bounds(args) -> int:
     if args.action == "trivial":
         _emit({"n": args.n, "k": args.k, "trivial_bound": fam_mod.trivial_lower_bound(args.n, args.k)})
         return EXIT_OK
+    from . import bounds as bounds_mod
     if args.action == "lemma4":
         params = bounds_mod.BoundParams(n=args.n, k=args.k, m=args.m, t=args.t, delta=args.delta)
         value = bounds_mod.lemma4_bound(params)
         _emit({
             "n": args.n, "k": args.k, "m": args.m, "t": args.t,
-            "delta": _jsonable(params.resolved_delta()),
-            "bound": _jsonable(value),
+            "delta": _bound_json(params.resolved_delta()),
+            "bound": _bound_json(value),
         })
         return EXIT_OK
     if args.action == "union-check":
@@ -375,7 +391,7 @@ def _cmd_bounds(args) -> int:
             "probability": _jsonable(prob.value) if prob.exact else {
                 "approx": prob.value, "trials": prob.trials, "std_error": prob.std_error,
             },
-            "analytic_bound": _jsonable(report.analytic),
+            "analytic_bound": _bound_json(report.analytic),
             "in_regime": report.in_regime,
             "bound_holds": report.bound_holds,
         })
@@ -407,8 +423,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.action == "dense-subset":
-        g = _read_graph(args.graph, args.graph_cap)
-        result = graph_mod.dense_subset_fraction(
+        g = _read_graph(args)
+        result = _graphs(args).dense_subset_fraction(
             g, args.l, args.r, args.threshold, sample=args.sample, seed=args.seed
         )
         _emit({
@@ -419,6 +435,7 @@ def _cmd_experiment(args) -> int:
             "subsets": result.total,
         })
         return EXIT_OK
+    from . import bounds as bounds_mod
     fam = _read_family(args.family)
     est = bounds_mod.small_union_probability(
         fam, args.t, args.threshold, seed=args.seed, trials=args.sample

@@ -6,11 +6,12 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from genset import canonical_generator, cli, format_family, generate, graphs
+from genset import canonical_generator, cli, format_family, generate, graphs, search
 from genset.graphs import (
     Graph, format_graph, graph_from_edges, turan_blowup_graph, turan_clique_closed_form,
 )
@@ -173,6 +174,25 @@ class TestConstruct:
         proc = run_cli("--no-meta", "check", "--family", str(out), "-k", "2")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["holds"] is True
+
+
+    def test_construct_above_cap_is_three(self):
+        # 2^40 - 1 members would exhaust memory long before the timeout.
+        proc = run_cli("--no-meta", "construct", "-n", "40", "-k", "1", timeout=5)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_construct_cap_follows_dp_cap(self, tmp_path, capsys, source):
+        # At most 2^(dp_cap - 4) members: 63 fit under --dp-cap 10, 127 do not.
+        cfg = tmp_path / "caps.cfg"
+        cfg.write_text("dp_cap=10\n")
+        options = ["--dp-cap", "10"] if source == "flag" else ["--config", str(cfg)]
+        assert cli.main(["--no-meta", *options, "construct", "-n", "6", "-k", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 63
+        assert cli.main(["--no-meta", *options, "construct", "-n", "7", "-k", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "2^6" in err
 
 
 class TestCheck:
@@ -406,6 +426,51 @@ class TestDeterminismAndConfig:
         cfg.write_text("bogus=1\n")
         proc = run_cli("--no-meta", "--config", str(cfg), "graph", "--family", fam42)
         assert proc.returncode == 2
+
+
+class TestCapDefaults:
+    def test_parser_defaults_are_the_module_constants(self):
+        args = cli.build_parser().parse_args(["construct", "-n", "1", "-k", "1"])
+        assert args.dp_cap == generate.DEFAULT_DP_CAP
+        assert args.node_budget == search.DEFAULT_NODE_BUDGET
+        assert args.time_budget == search.DEFAULT_TIME_BUDGET
+
+    @pytest.mark.parametrize("command", ["graph", "turan graph", "blowup"])
+    @pytest.mark.parametrize("source", ["default", "flag", "config"])
+    def test_graph_cap_applies(self, tmp_path, capsys, command, source):
+        cap = graphs.DEFAULT_GRAPH_CAP if source == "default" else 4
+        cfg = tmp_path / "caps.cfg"
+        cfg.write_text(f"graph_cap={cap}\n")
+        options = {"default": [], "flag": ["--graph-cap", str(cap)],
+                   "config": ["--config", str(cfg)]}[source]
+        for vertices in (cap, cap + 1):
+            path = tmp_path / "g.txt"
+            path.write_text(f"vertices={vertices}\n")
+            argv = {
+                "graph": ["graph", "--graph", str(path)],
+                "turan graph": ["turan", "graph", "-s", "1", "-T", str(vertices)],
+                "blowup": ["blowup", "--graph", str(path), "-a", "1", "-t", "1"],
+            }[command]
+            status = cli.main(["--no-meta", *options, *argv])
+            out, err = capsys.readouterr()
+            refused = (status, out) == (3, "") and f"exceed graph cap {cap}" in err
+            assert refused is (vertices > cap), (vertices, status, err)
+
+
+# Help texts of the parser as it stood before --graph-cap's default moved into
+# the graphs handlers, printed at 80 columns by Python 3.11's argparse.
+HELP = json.loads((Path(__file__).parent / "data" / "cli_help.json").read_text())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help differently in other Python versions")
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_is_unchanged(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP[command]
 
 
 _junk = st.text(max_size=8)

@@ -1,0 +1,150 @@
+"""Start-up cost and the public API of the package.
+
+`import genset` loads only the exception types, and each CLI subcommand loads
+only the layer modules it runs (mpmath only for inexact bounds). The public
+names still resolve, on first use, to the objects their modules define.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import genset
+from genset import canonical_generator, format_family
+
+LAYERS = {f"genset.{name}" for name in ("families", "generate", "search", "graphs", "bounds")}
+
+# Every name the package exported when it imported all five layers eagerly.
+PUBLIC = {
+    "errors": ["CapExceeded", "FamilyFormatError", "GensetError", "WorkLimitExceeded"],
+    "families": [
+        "CanonicalPartition", "SetFamily", "canonical_generator", "canonical_partition",
+        "canonical_size", "format_family", "make_family", "mask_from_elements",
+        "parse_family", "trivial_lower_bound",
+    ],
+    "generate": [
+        "Decomposition", "GeneratorVerdict", "decompose", "is_k_base", "is_k_generator",
+        "reachable_layers",
+    ],
+    "search": ["SearchReport", "min_generator_size", "verify_conjecture_range"],
+    "graphs": [
+        "DenseSubsetResult", "ErdosMaxReport", "Graph", "clique_density", "count_cliques",
+        "count_disjoint_tuples", "dense_subset_fraction", "disjointness_graph",
+        "erdos_max_check", "find_blowup", "format_graph", "graph_from_edges", "parse_graph",
+        "turan_blowup_graph", "turan_clique_closed_form", "turan_eta",
+    ],
+    "bounds": [
+        "BoundParams", "BoundValue", "analytic_union_bound", "bound_table",
+        "coverage_inequality_check", "lemma4_bound", "small_union_probability",
+        "union_bound_check",
+    ],
+}
+
+_PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import genset
+    status = None
+else:
+    from genset import cli
+    status = cli.main(argv)
+sys.stdout.flush()
+print(json.dumps({"status": status, "modules": sorted(sys.modules)}))
+"""
+
+
+def loaded_after(argv=None):
+    """(exit status, output lines, loaded module names) of one fresh process.
+
+    With argv None the process only runs `import genset`; otherwise it runs
+    `genset.cli.main(argv)`.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    probe = json.loads(last)
+    return probe["status"], lines, set(probe["modules"])
+
+
+@pytest.fixture(scope="module")
+def fam42(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup") / "fam42.txt"
+    path.write_text(format_family(canonical_generator(4, 2)))
+    return str(path)
+
+
+class TestStartupLoadsOnlyWhatRuns:
+    def test_import_loads_no_layer(self):
+        _, _, modules = loaded_after()
+        assert "genset.errors" in modules
+        assert not modules & (LAYERS | {"genset.cli", "mpmath"})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--family", "FAM", "-k", "2"],
+         ["check", "--family", "FAM", "-k", "2", "--base"],
+         ["search-min", "-n", "4", "-k", "2"]],
+        ids=["check", "check-base", "search-min"],
+    )
+    def test_generator_commands_leave_out_graphs_and_bounds(self, fam42, argv):
+        status, lines, modules = loaded_after(
+            ["--no-meta", *(fam42 if a == "FAM" else a for a in argv)]
+        )
+        assert status == 0 and lines
+        assert {"genset.families", "genset.generate"} <= modules
+        assert not modules & {"genset.graphs", "genset.bounds", "mpmath"}
+
+    def test_clique_count_leaves_out_bounds(self, fam42):
+        status, lines, modules = loaded_after(
+            ["--no-meta", "graph", "--family", fam42, "--count-cliques", "3"]
+        )
+        assert status == 0 and json.loads(lines[0])["k3_count"] == 6
+        assert "genset.graphs" in modules
+        assert not modules & {"genset.bounds", "mpmath"}
+
+    def test_exact_bound_leaves_out_mpmath(self):
+        status, lines, modules = loaded_after(
+            ["--no-meta", "bounds", "lemma4", "-n", "12", "-k", "2", "-m", "32", "-t", "3"]
+        )
+        assert status == 0 and json.loads(lines[0])["bound"]["rational"] == "31238127616000/1"
+        assert "genset.bounds" in modules and "mpmath" not in modules
+
+    def test_inexact_bound_loads_mpmath(self):
+        # m = 33 is no power of two, so delta = log2(33)/12 - 1/3 is evaluated with mpmath.
+        status, lines, modules = loaded_after(
+            ["--no-meta", "bounds", "lemma4", "-n", "12", "-k", "2", "-m", "33", "-t", "3"]
+        )
+        assert status == 0 and "mpmath" in modules
+        assert json.loads(lines[0]) == {
+            "bound": {"approx": 37911517248929.19, "exact": False, "precision_bits": 113},
+            "delta": {"approx": 0.08703284327987112, "exact": False, "precision_bits": 113},
+            "k": 2, "m": 33, "n": 12, "t": 3,
+        }
+
+
+class TestPublicApi:
+    @pytest.mark.parametrize(
+        "module,name", [(module, name) for module, names in PUBLIC.items() for name in names]
+    )
+    def test_name_resolves_to_its_module_object(self, module, name):
+        namespace = {}
+        exec(f"from genset import {name}", namespace)
+        assert namespace[name] is getattr(importlib.import_module(f"genset.{module}"), name)
+
+    def test_all_and_dir_list_every_name(self):
+        names = sorted(name for names in PUBLIC.values() for name in names)
+        assert sorted(genset.__all__) == names
+        assert set(names) <= set(dir(genset))
+
+    def test_unknown_name_is_attribute_error(self):
+        assert not hasattr(genset, "no_such_name")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            genset.no_such_name
+        with pytest.raises(ImportError):
+            exec("from genset import no_such_name", {})
