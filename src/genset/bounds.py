@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, sqrt
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .errors import CapExceeded, GensetError
 from .families import (
@@ -32,8 +31,7 @@ if TYPE_CHECKING:
     Number = Union[Fraction, mpmath.mpf]
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     value: Number
     exact: bool
     precision_bits: Optional[int] = None
@@ -55,8 +53,7 @@ def pow2(exponent: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS) -> Bo
     return BoundValue(value, False, precision_bits)
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(NamedTuple):
     """Parameters for the union-size probability bound experiments.
 
     delta measures how far m sits above the 2^{n/(k+1)} scale:
@@ -69,7 +66,6 @@ class BoundParams:
     m: int
     t: int
     delta: Optional[Fraction] = None
-    threshold: Optional[int] = None
 
     def resolved_delta(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundValue:
         if self.delta is not None:
@@ -86,8 +82,6 @@ class BoundParams:
     def validate(self) -> None:
         if self.n < 1 or self.k < 1 or self.m < 1 or self.t < 1:
             raise GensetError("n, k, m, t must all be >= 1")
-        if self.threshold is not None and not 0 <= self.threshold <= self.n:
-            raise GensetError(f"threshold must lie in 0..{self.n}")
 
 
 def lemma4_bound(p: BoundParams, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundValue:
@@ -132,8 +126,7 @@ def analytic_union_bound(
     return BoundValue(value, False, precision_bits)
 
 
-@dataclass(frozen=True)
-class ProbabilityEstimate:
+class ProbabilityEstimate(NamedTuple):
     value: Union[Fraction, float]
     exact: bool
     trials: Optional[int] = None
@@ -190,8 +183,7 @@ def small_union_probability(
     )
 
 
-@dataclass(frozen=True)
-class UnionBoundReport:
+class UnionBoundReport(NamedTuple):
     params: BoundParams
     threshold: int
     probability: ProbabilityEstimate
@@ -239,8 +231,7 @@ def union_bound_check(
     return UnionBoundReport(params, threshold, prob, analytic, in_regime, holds)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     tuples: int
     two_to_n: int
     holds: bool
@@ -256,8 +247,7 @@ def coverage_inequality_check(
     return CoverageReport(tuples, two_to_n, tuples >= two_to_n, verified_generator)
 
 
-@dataclass(frozen=True)
-class BoundTableRow:
+class BoundTableRow(NamedTuple):
     n: int
     k: int
     trivial_bound: int

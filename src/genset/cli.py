@@ -71,6 +71,14 @@ def _read_graph(args):
         return _graphs(args).parse_graph(fh.read(), graph_cap=args.graph_cap)
 
 
+def _write_graph(graph_mod, g, path, record: dict) -> None:
+    """With a path, write g there in edge-list format and name the file in record."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(graph_mod.format_graph(g))
+        record["written"] = path
+
+
 def _parse_set(text: str, n: int) -> int:
     if text == "-":
         return 0
@@ -249,31 +257,35 @@ def _cmd_check(args) -> int:
         dec = gen_mod.decompose(fam, layers, target)
         rec = {"op": "decompose", "target": fam_mod.format_mask(target), "found": dec is not None}
         if dec is not None:
-            rec["parts"] = [fam_mod.format_mask(p) for p in dec.parts]
+            rec["parts"] = [fam_mod.format_mask(p) for p in dec]
         else:
             status = EXIT_PROPERTY_FAIL
         _emit(rec)
     return status
 
 
-def _sweep_csv(reports, timed: bool) -> str:
-    """One CSV row per case; the wall-clock `seconds` column only when timed."""
+def _csv(header: list, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _sweep_csv(reports, timed: bool) -> str:
+    """One CSV row per case; the wall-clock `seconds` column only when timed."""
+    return _csv(
         ["n", "k", "trivial_bound", "canonical_size", "minimum", "conjecture_holds", "nodes"]
-        + (["seconds"] if timed else [])
-    )
-    for r in reports:
-        writer.writerow([
+        + (["seconds"] if timed else []),
+        ([
             r.n, r.k,
             fam_mod.trivial_lower_bound(r.n, r.k),
             fam_mod.canonical_size(r.n, r.k),
             r.minimum if r.minimum is not None else "inconclusive",
             r.conjecture_holds if r.conjecture_holds is not None else "unknown",
             r.nodes_explored,
-        ] + ([f"{r.seconds:.3f}"] if timed else []))
-    return buf.getvalue()
+        ] + ([f"{r.seconds:.3f}"] if timed else []) for r in reports),
+    )
 
 
 def _cmd_search_min(args) -> int:
@@ -317,10 +329,7 @@ def _cmd_graph(args) -> int:
         known = record.get(f"k{args.density}_count")
         density = graph_mod.clique_density(g, args.density, count=known)
         record[f"k{args.density}_density"] = _jsonable(density)
-    if args.emit:
-        with open(args.emit, "w") as fh:
-            fh.write(graph_mod.format_graph(g))
-        record["written"] = args.emit
+    _write_graph(graph_mod, g, args.emit, record)
     _emit(record)
     return EXIT_OK
 
@@ -333,10 +342,7 @@ def _cmd_turan(args) -> int:
     if args.action == "graph":
         g = graph_mod.turan_blowup_graph(args.s, args.T, graph_cap=args.graph_cap)
         record = {"vertices": g.m, "edges": g.edge_count(), "s": args.s, "T": args.T}
-        if args.emit:
-            with open(args.emit, "w") as fh:
-                fh.write(graph_mod.format_graph(g))
-            record["written"] = args.emit
+        _write_graph(graph_mod, g, args.emit, record)
         _emit(record)
         return EXIT_OK
     if args.action == "closed-form":
@@ -408,16 +414,14 @@ def _cmd_bounds(args) -> int:
     rows = bounds_mod.bound_table(
         range(args.n_min, args.n_max + 1), range(args.k_min, args.k_max + 1)
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "k", "trivial_bound", "weak_constant_bound", "strong_constant_bound", "canonical_size"])
-    for row in rows:
-        writer.writerow([
+    sys.stdout.write(_csv(
+        ["n", "k", "trivial_bound", "weak_constant_bound", "strong_constant_bound", "canonical_size"],
+        ([
             row.n, row.k, row.trivial_bound,
             f"{row.weak_constant_bound:.6g}", f"{row.strong_constant_bound:.6g}",
             row.canonical_size,
-        ])
-    sys.stdout.write(buf.getvalue())
+        ] for row in rows),
+    ))
     return EXIT_OK
 
 

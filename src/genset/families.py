@@ -6,8 +6,8 @@ element i corresponds to bit i-1, so {1, 3} is 0b101 = 5 and the empty set is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .errors import FamilyFormatError, GensetError
 
@@ -56,8 +56,7 @@ def format_mask(mask: SubsetMask) -> str:
     return ",".join(str(e) for e in mask_elements(mask))
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(NamedTuple):
     """A duplicate-free family of subsets of [n], sorted by numeric mask value.
 
     The empty set is a legal member; it is disjoint from every set and never
@@ -66,7 +65,6 @@ class SetFamily:
 
     n: int
     members: tuple[SubsetMask, ...]
-    duplicates_dropped: int = field(default=0, compare=False)
 
     @property
     def m(self) -> int:
@@ -74,29 +72,20 @@ class SetFamily:
 
 
 def make_family(n: int, masks) -> SetFamily:
-    """Sorted, deduplicated family; the count of duplicates dropped is recorded."""
+    """Sorted, deduplicated family."""
     check_ground_set(n)
     masks = list(masks)
     for mask in masks:
         check_mask(mask, n)
-    unique = sorted(set(masks))
-    return SetFamily(n, tuple(unique), duplicates_dropped=len(masks) - len(unique))
+    return SetFamily(n, tuple(sorted(set(masks))))
 
 
-@dataclass(frozen=True)
-class CanonicalPartition:
-    """Partition of [n] into k classes of near-equal size.
+def canonical_partition(n: int, k: int) -> tuple[SubsetMask, ...]:
+    """The class masks of a partition of [n] into k classes of near-equal size.
 
     Elements 1..n are assigned in contiguous blocks, the (n mod k) larger
     classes first. The generator's size does not depend on this tie-break.
     """
-
-    n: int
-    k: int
-    classes: tuple[SubsetMask, ...]
-
-
-def canonical_partition(n: int, k: int) -> CanonicalPartition:
     check_ground_set(n)
     if not 1 <= k <= n:
         raise GensetError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -107,7 +96,7 @@ def canonical_partition(n: int, k: int) -> CanonicalPartition:
         size = base + (1 if i < extra else 0)
         classes.append(((1 << size) - 1) << start)
         start += size
-    return CanonicalPartition(n, k, tuple(classes))
+    return tuple(classes)
 
 
 def _subsets_of(mask: SubsetMask):
@@ -122,9 +111,8 @@ def _subsets_of(mask: SubsetMask):
 
 def canonical_generator(n: int, k: int) -> SetFamily:
     """Union over the partition classes of all their nonempty subsets."""
-    part = canonical_partition(n, k)
     members: set[int] = set()
-    for cls in part.classes:
+    for cls in canonical_partition(n, k):
         members.update(_subsets_of(cls))
     members.discard(0)
     return SetFamily(n, tuple(sorted(members)))
@@ -132,8 +120,7 @@ def canonical_generator(n: int, k: int) -> SetFamily:
 
 def canonical_size(n: int, k: int) -> int:
     """|canonical_generator(n, k)| without building the family."""
-    part = canonical_partition(n, k)
-    return sum((1 << cls.bit_count()) - 1 for cls in part.classes)
+    return sum((1 << cls.bit_count()) - 1 for cls in canonical_partition(n, k))
 
 
 def trivial_lower_bound(n: int, k: int) -> int:
@@ -173,8 +160,7 @@ def parse_family(text: str) -> SetFamily:
     """Strict parser for the family file format.
 
     Comments start with '#'; blank lines are skipped; elements must be
-    ascending and in range. Duplicate member lines are deduplicated with the
-    drop count recorded on the returned family.
+    ascending and in range. Duplicate member lines are deduplicated.
     """
     n = None
     masks = []

@@ -17,8 +17,7 @@ the temporaries of one step, at most 2^n bits each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CapExceeded, GensetError
 from .families import SetFamily, SubsetMask, check_mask
@@ -27,15 +26,9 @@ from .families import SetFamily, SubsetMask, check_mask
 DEFAULT_DP_CAP = 26
 
 
-@dataclass(frozen=True)
-class GeneratorVerdict:
+class GeneratorVerdict(NamedTuple):
     holds: bool
     counterexample: Optional[SubsetMask] = None
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    parts: tuple[SubsetMask, ...]
 
 
 def _disjoint_positions(g: SubsetMask, width: int) -> int:
@@ -121,12 +114,14 @@ def is_k_generator(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> Gene
     return verdict_from_layers(reachable_layers(fam, k, dp_cap=dp_cap), fam.n)
 
 
-def decompose(fam: SetFamily, layers: list[int], x: SubsetMask) -> Optional[Decomposition]:
+def decompose(
+    fam: SetFamily, layers: list[int], x: SubsetMask
+) -> Optional[tuple[SubsetMask, ...]]:
     """A witness split of x into at most k disjoint nonempty members, if one exists.
 
     layers is the table reachable_layers(fam, k). Greedy largest-first over
-    its layers; parts are returned in descending mask order. Returns None
-    when x is not expressible.
+    its layers; returns the tuple of parts in descending mask order (empty
+    for x = 0), or None when x is not expressible.
     """
     check_mask(x, fam.n)
     k = len(layers) - 1
@@ -150,7 +145,7 @@ def decompose(fam: SetFamily, layers: list[int], x: SubsetMask) -> Optional[Deco
                 break
         else:  # pragma: no cover - contradicts the DP recurrence
             raise AssertionError("DP table inconsistent with its own recurrence")
-    return Decomposition(tuple(sorted(parts, reverse=True)))
+    return tuple(sorted(parts, reverse=True))
 
 
 def is_k_base(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> GeneratorVerdict:

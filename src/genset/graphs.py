@@ -7,26 +7,25 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CapExceeded, FamilyFormatError, GensetError, WorkLimitExceeded
-from .families import SetFamily, SubsetMask
+from .families import SetFamily
 
 DEFAULT_GRAPH_CAP = 1 << 16
 DEFAULT_BLOWUP_CAP = 64
 DEFAULT_CLIQUE_WORK_LIMIT = 200_000_000
 DEFAULT_SUBSET_BUDGET = 2_000_000
+# Labeled graphs on l vertices number 2^C(l, 2); l = 7 is 2^21.
+ERDOS_L_CAP = 7
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected graph as per-vertex bit rows; labels carry family masks when relevant."""
+class Graph(NamedTuple):
+    """Undirected graph as per-vertex bit rows, vertices numbered 0..m-1."""
 
     rows: tuple[int, ...]
-    labels: Optional[tuple[SubsetMask, ...]] = None
 
     @property
     def m(self) -> int:
@@ -67,7 +66,7 @@ def disjointness_graph(fam: SetFamily, graph_cap: int = DEFAULT_GRAPH_CAP) -> Gr
         for e in _bits(g):
             meets |= cols[e]
         rows.append(full ^ meets)
-    return Graph(tuple(rows), labels=masks)
+    return Graph(tuple(rows))
 
 
 def _clique_profile(
@@ -253,8 +252,7 @@ def find_blowup(
     return extend([], (1 << m) - 1, 0)
 
 
-@dataclass(frozen=True)
-class ErdosMaxReport:
+class ErdosMaxReport(NamedTuple):
     l: int
     s: int
     r: int
@@ -265,7 +263,7 @@ class ErdosMaxReport:
     graphs_enumerated: int
 
 
-def erdos_max_check(l: int, s: int, r: int, l_cap: int = 7) -> ErdosMaxReport:
+def erdos_max_check(l: int, s: int, r: int) -> ErdosMaxReport:
     """Brute-force max of the r-clique count over all labeled K_{s+1}-free graphs on l vertices.
 
     Enumerates edge assignments pair by pair, pruning as soon as a K_{s+1}
@@ -276,8 +274,8 @@ def erdos_max_check(l: int, s: int, r: int, l_cap: int = 7) -> ErdosMaxReport:
         raise GensetError(f"need 1 <= r <= s, got r={r}, s={s}")
     if l < 0:
         raise GensetError(f"need l >= 0, got l={l}")
-    if l > l_cap:
-        raise CapExceeded(f"l={l} exceeds enumeration cap {l_cap}")
+    if l > ERDOS_L_CAP:
+        raise CapExceeded(f"l={l} exceeds enumeration cap {ERDOS_L_CAP}")
     pairs = [(u, v) for u in range(l) for v in range(u + 1, l)]
     rows = [0] * l
     best = {"count": -1, "rows": tuple(rows), "leaves": 0}
@@ -347,11 +345,9 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class DenseSubsetResult:
+class DenseSubsetResult(NamedTuple):
     fraction: Fraction | float
     exact: bool
-    dense_count: Optional[int]  # exact mode only
     total: int  # subsets examined (C(m, l) or sample size)
 
 
@@ -388,12 +384,12 @@ def dense_subset_fraction(
                 f"C({m},{l}) = {total} exceeds exact-mode budget {budget}; use sampling"
             )
         dense = sum(1 for combo in itertools.combinations(range(m), l) if is_dense(combo))
-        return DenseSubsetResult(Fraction(dense, total), True, dense, total)
+        return DenseSubsetResult(Fraction(dense, total), True, total)
     if seed is None:
         raise GensetError("sampling mode requires a seed")
     rng = random.Random(seed)
     dense = sum(1 for _ in range(sample) if is_dense(rng.sample(range(m), l)))
-    return DenseSubsetResult(dense / sample, False, None, sample)
+    return DenseSubsetResult(dense / sample, False, sample)
 
 
 def format_graph(graph: Graph) -> str:

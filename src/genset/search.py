@@ -13,9 +13,8 @@ the permutations of the elements of x in no chosen non-singleton.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import comb, isnan
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CapExceeded, GensetError
 from .families import SetFamily, canonical_generator, canonical_size, trivial_lower_bound
@@ -28,8 +27,7 @@ DEFAULT_TIME_BUDGET = 600.0
 SEARCH_CAP = 16
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     n: int
     k: int
     minimum: Optional[int]
@@ -157,7 +155,6 @@ def _check_time_budget(time_budget: float) -> None:
 def min_generator_size(
     n: int,
     k: int,
-    cap: Optional[int] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> SearchReport:
@@ -179,7 +176,7 @@ def min_generator_size(
     target = lb
     found = None
     try:
-        while found is None and target < ub and (cap is None or target <= cap):
+        while found is None and target < ub:
             found = searcher.find(target)
             if found is None:
                 target += 1

@@ -47,8 +47,7 @@ def test_criterion_01_canonical_sizes():
     ok = True
     for n in range(1, 25):
         for k in range(1, n + 1):
-            part = canonical_partition(n, k)
-            by_classes = sum((1 << cls.bit_count()) - 1 for cls in part.classes)
+            by_classes = sum((1 << cls.bit_count()) - 1 for cls in canonical_partition(n, k))
             ok &= canonical_size(n, k) == by_classes
             if n % k == 0:
                 ok &= canonical_size(n, k) == k * (2 ** (n // k) - 1)

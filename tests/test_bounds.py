@@ -217,5 +217,3 @@ class TestBoundParams:
     def test_validation(self):
         with pytest.raises(GensetError):
             BoundParams(n=10, k=2, m=32, t=0).validate()
-        with pytest.raises(GensetError):
-            BoundParams(n=4, k=2, m=8, t=1, threshold=9).validate()

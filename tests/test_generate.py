@@ -172,17 +172,17 @@ class TestDecompose:
         dec = decompose(fam, reachable_layers(fam, 2), 0b1101)
         assert dec is not None
         union, seen = 0, 0
-        for part in dec.parts:
+        for part in dec:
             assert part in fam.members and part != 0
             assert part & seen == 0
             seen |= part
             union |= part
         assert union == 0b1101
-        assert list(dec.parts) == sorted(dec.parts, reverse=True)
+        assert list(dec) == sorted(dec, reverse=True)
 
     def test_empty_target_gives_empty_decomposition(self):
         fam = canonical_generator(4, 2)
-        assert decompose(fam, reachable_layers(fam, 2), 0).parts == ()
+        assert decompose(fam, reachable_layers(fam, 2), 0) == ()
 
     def test_absent_matches_checker_counterexample(self):
         fam = make_family(2, [0b01, 0b11])
@@ -196,9 +196,9 @@ class TestDecompose:
         reachable = x in brute_reachable(fam, k)
         assert (dec is not None) == reachable
         if dec is not None:
-            assert len(dec.parts) <= k
+            assert len(dec) <= k
             union, seen = 0, 0
-            for part in dec.parts:
+            for part in dec:
                 assert part in fam.members and part != 0
                 assert part & seen == 0
                 seen |= part

@@ -109,11 +109,6 @@ class TestDisjointnessGraph:
         g = disjointness_graph(make_family(3, [0, 0b101]))
         assert g.has_edge(0, 1)
 
-    def test_vertex_order_is_family_order(self):
-        fam = canonical_generator(4, 2)
-        g = disjointness_graph(fam)
-        assert g.labels == fam.members
-
     @pytest.mark.parametrize("q", range(1, 9))
     def test_edge_count_closed_form(self, q):
         g = disjointness_graph(canonical_generator(2 * q, 2))
@@ -424,7 +419,7 @@ class TestDenseSubsetFraction:
             )
             if Fraction(edges, comb(5, 2)) >= threshold:
                 direct += 1
-        assert res.dense_count == direct
+        assert res.total == comb(9, 5) and res.fraction == Fraction(direct, res.total)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_double_counting_inequality(self, seed):
