@@ -405,10 +405,10 @@ def _cmd_bounds(args) -> int:
     if args.action == "coverage":
         fam = _read_family(args.family)
         verdict = gen_mod.is_k_generator(fam, args.k, dp_cap=args.dp_cap)
-        report = bounds_mod.coverage_inequality_check(fam, args.k, verified_generator=verdict.holds)
+        report = bounds_mod.coverage_inequality_check(fam, args.k)
         _emit({
             "k": args.k, "tuples": report.tuples, "two_to_n": report.two_to_n,
-            "holds": report.holds, "verified_generator": report.verified_generator,
+            "holds": report.holds, "verified_generator": verdict.holds,
         })
         return EXIT_OK if report.holds or not verdict.holds else EXIT_PROPERTY_FAIL
     rows = bounds_mod.bound_table(

@@ -17,7 +17,8 @@ from .families import SetFamily
 DEFAULT_GRAPH_CAP = 1 << 16
 DEFAULT_BLOWUP_CAP = 64
 DEFAULT_CLIQUE_WORK_LIMIT = 200_000_000
-DEFAULT_SUBSET_BUDGET = 2_000_000
+# Most subsets an exact-mode subset walk enumerates.
+EXACT_BUDGET = 2_000_000
 # Labeled graphs on l vertices number 2^C(l, 2); l = 7 is 2^21.
 ERDOS_L_CAP = 7
 
@@ -345,6 +346,28 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def subset_walk(pool, size: int, trials: Optional[int] = None, seed: Optional[int] = None):
+    """(subsets, total): the size-subsets of pool to walk, and how many there are.
+
+    Exact mode (no trials) yields every C(len(pool), size) subset in
+    itertools.combinations order, refusing more than EXACT_BUDGET; sampling
+    mode yields trials draws of Random(seed).sample(pool, size).
+    """
+    if trials is None:
+        total = comb(len(pool), size)
+        if total > EXACT_BUDGET:
+            raise CapExceeded(
+                f"C({len(pool)},{size}) = {total} exceeds exact budget {EXACT_BUDGET}; use sampling"
+            )
+        return itertools.combinations(pool, size), total
+    if trials < 1:
+        raise GensetError(f"trials must be >= 1, got {trials}")
+    if seed is None:
+        raise GensetError("sampling mode requires a seed")
+    rng = random.Random(seed)
+    return (rng.sample(pool, size) for _ in range(trials)), trials
+
+
 class DenseSubsetResult(NamedTuple):
     fraction: Fraction | float
     exact: bool
@@ -358,11 +381,10 @@ def dense_subset_fraction(
     threshold: Fraction,
     sample: Optional[int] = None,
     seed: Optional[int] = None,
-    budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> DenseSubsetResult:
     """Fraction of l-vertex subsets whose induced r-clique density reaches the threshold.
 
-    Exact mode enumerates all C(m, l) subsets when that fits the budget;
+    Exact mode enumerates all C(m, l) subsets (at most EXACT_BUDGET);
     sampling mode draws the given number of subsets from a seeded RNG.
     """
     m = graph.m
@@ -370,25 +392,15 @@ def dense_subset_fraction(
         raise GensetError(f"l={l} exceeds vertex count {m}")
     if l < r:
         raise GensetError(f"need l >= r, got l={l}, r={r}")
-    if sample is not None and sample < 1:
-        raise GensetError(f"sample must be >= 1, got {sample}")
 
     def is_dense(verts) -> bool:
         within = sum(1 << v for v in verts)
         return Fraction(count_cliques(graph, r, within=within), comb(l, r)) >= threshold
 
+    subsets, total = subset_walk(range(m), l, sample, seed)
+    dense = sum(1 for verts in subsets if is_dense(verts))
     if sample is None:
-        total = comb(m, l)
-        if total > budget:
-            raise CapExceeded(
-                f"C({m},{l}) = {total} exceeds exact-mode budget {budget}; use sampling"
-            )
-        dense = sum(1 for combo in itertools.combinations(range(m), l) if is_dense(combo))
         return DenseSubsetResult(Fraction(dense, total), True, total)
-    if seed is None:
-        raise GensetError("sampling mode requires a seed")
-    rng = random.Random(seed)
-    dense = sum(1 for _ in range(sample) if is_dense(rng.sample(range(m), l)))
     return DenseSubsetResult(dense / sample, False, sample)
 
 

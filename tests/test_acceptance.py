@@ -4,14 +4,11 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import itertools
-import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from math import comb
-
-import pytest
 
 from genset import (
     canonical_generator,

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb, isclose
 
@@ -13,7 +14,6 @@ from genset import (
     canonical_size,
     coverage_inequality_check,
     count_disjoint_tuples,
-    is_k_generator,
     lemma4_bound,
     make_family,
     small_union_probability,
@@ -37,10 +37,15 @@ class TestPow2:
         assert pow2(Fraction(5)).exact
 
     def test_fractional_exponent_reports_precision(self):
-        val = pow2(Fraction(3, 2), precision_bits=120)
+        val = pow2(Fraction(3, 2))
         assert not val.exact
-        assert val.precision_bits == 120
+        assert val.precision_bits == 113
         assert isclose(float(val.value), 2**1.5, rel_tol=1e-12)
+
+    def test_scale_multiplies_exactly(self):
+        val = pow2(Fraction(5), Fraction(1, 27))
+        assert val.exact and val.value == Fraction(32, 27)
+        assert isclose(float(pow2(Fraction(1, 2), Fraction(3)).value), 3 * 2**0.5, rel_tol=1e-15)
 
 
 class TestLemma4Bound:
@@ -85,7 +90,27 @@ class TestAnalyticUnionBound:
         assert value.exact and value.value == 8  # 512 * (8/32)^3
 
     def test_t_zero(self):
-        assert analytic_union_bound(10, 2, 7, 0).value == 2**10
+        value = analytic_union_bound(10, 2, 7, 0)  # exact although k + 1 = 3 does not divide n
+        assert value.exact and value.value == Fraction(2**10)
+
+    def test_integral_exponent_is_exact_when_k_plus_1_does_not_divide_n(self):
+        # 2^4 (2^{4/3} / 6)^3 = 2^8 / 216.
+        value = analytic_union_bound(4, 2, 6, 3)
+        assert value.exact and value.value == Fraction(32, 27)
+
+    def test_exact_exactly_when_exponent_is_integral(self):
+        import mpmath
+
+        for n, k, m, t in itertools.product(range(1, 10), (1, 2, 3), (1, 3, 8, 33), range(4)):
+            value = analytic_union_bound(n, k, m, t)
+            assert value.exact == (n * t % (k + 1) == 0), (n, k, m, t)
+            if value.exact:
+                assert value.value == Fraction(2 ** (n + n * t // (k + 1)), m**t)
+            with mpmath.workprec(113):  # the evaluation before every power went through pow2
+                direct = mpmath.power(2, n) * mpmath.power(
+                    mpmath.power(2, mpmath.mpf(n) / (k + 1)) / m, t
+                )
+            assert float(value.value) == float(direct), (n, k, m, t)
 
     def test_m_at_scale_gives_2_to_n(self):
         for t in range(4):
@@ -122,9 +147,9 @@ class TestSmallUnionProbability:
             small_union_probability(canonical_generator(4, 2), 2, 2, trials=10)
 
     def test_exact_budget(self):
-        fam = canonical_generator(10, 2)
+        fam = make_family(6, range(1, 63))  # C(62, 5) = 6,471,002 subsets
         with pytest.raises(CapExceeded):
-            small_union_probability(fam, 4, 3, exact_budget=100)
+            small_union_probability(fam, 5, 3)
 
 
 class TestUnionBoundCheck:
@@ -168,9 +193,9 @@ class TestCoverageInequality:
 
     def test_canonical_4_2_against_enumeration(self):
         fam = canonical_generator(4, 2)
-        report = coverage_inequality_check(fam, 2, verified_generator=True)
+        report = coverage_inequality_check(fam, 2)
         assert report.tuples == count_disjoint_tuples(fam, 2)
-        assert report.holds and report.verified_generator
+        assert report.holds
 
     def test_non_generator_can_fail(self):
         report = coverage_inequality_check(make_family(2, [0b01]), 2)

@@ -367,6 +367,13 @@ class TestBoundsCommands:
         record = json.loads(proc.stdout)
         assert record["in_regime"] and record["bound_holds"]
 
+    def test_union_check_analytic_bound_exact_when_exponent_integral(self, fam42):
+        # k + 1 = 3 does not divide n = 4, but n t / (k + 1) = 4 does not need it to.
+        proc = run_cli("--no-meta", "bounds", "union-check", "--family", fam42, "-k", "2", "-t", "3")
+        assert proc.returncode == 0
+        assert ('"analytic_bound": {"approx": 1.1851851851851851, "exact": true, "rational": "32/27"}'
+                in proc.stdout)
+
 
 class TestExperiment:
     def test_union_prob_exact(self, fam42):
@@ -409,6 +416,36 @@ class TestDeterminismAndConfig:
             "-t", "2", "--threshold", "2", "--sample", "5000", "--seed", "13",
         )
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+    def test_seeded_streams_are_pinned(self, tmp_path):
+        # Records of the seeded sampling modes as first released: the same seed
+        # must keep drawing the same subsets in the same order.
+        c82, c122, t34 = (str(tmp_path / name) for name in ("c82.txt", "c122.txt", "t34.txt"))
+        Path(c82).write_text(format_family(canonical_generator(8, 2)))
+        Path(c122).write_text(format_family(canonical_generator(12, 2)))
+        Path(t34).write_text(format_graph(turan_blowup_graph(3, 4)))
+        half = {"approx": 0.5, "rational": "1/2"}
+        cases = [
+            (("experiment", "union-prob", "--family", c82, "-t", "3", "--threshold", "2",
+              "--sample", "5000", "--seed", "7"),
+             {"exact": False, "probability": 0.0024, "std_error": 0.000691988439209789,
+              "t": 3, "threshold": 2, "trials": 5000}),
+            (("experiment", "dense-subset", "--graph", t34, "-l", "5", "-r", "2",
+              "--threshold", "1/2", "--sample", "300", "--seed", "3"),
+             {"exact": False, "fraction": 0.9733333333333334, "l": 5, "r": 2,
+              "subsets": 300, "threshold": half}),
+            (("bounds", "union-check", "--family", c122, "-k", "2", "-t", "3",
+              "--trials", "999", "--seed", "5"),
+             {"analytic_bound": {"approx": 8.387031238127232, "exact": True,
+                                 "rational": "2097152/250047"},
+              "bound_holds": True, "in_regime": True, "k": 2, "m": 126, "n": 12,
+              "probability": {"approx": 0.05405405405405406, "std_error": 0.007154257242444287,
+                              "trials": 999},
+              "t": 3, "threshold": 4}),
+        ]
+        for args, want in cases:
+            proc = run_cli("--no-meta", *args)
+            assert proc.returncode == 0 and json.loads(proc.stdout) == want, args
 
     def test_meta_record_present_by_default(self):
         proc = run_cli("bounds", "trivial", "-n", "3", "-k", "2")

@@ -447,9 +447,9 @@ class TestDenseSubsetFraction:
             dense_subset_fraction(g, 4, 2, Fraction(1, 2), sample=10)
 
     def test_exact_budget(self):
-        g = random_graph(14, 0.5, seed=0)
+        g = random_graph(30, 0.5, seed=0)  # C(30, 15) = 155,117,520 subsets
         with pytest.raises(CapExceeded):
-            dense_subset_fraction(g, 7, 2, Fraction(1, 2), budget=100)
+            dense_subset_fraction(g, 15, 2, Fraction(1, 2))
 
 
 class TestGraphFileFormat:
