@@ -25,6 +25,9 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+# Most members construct writes: about 200 bytes each while the family is
+# built, so under 1 GiB. (22,1) is the largest one-class family.
+CONSTRUCT_CAP = 1 << 22
 
 
 def _fraction(text: str) -> Fraction:
@@ -219,10 +222,10 @@ def _apply_config(args) -> None:
 
 
 def _cmd_construct(args) -> int:
-    size = fam_mod.canonical_size(args.n, args.k)  # about 200 bytes a member once built
-    if (size - 1).bit_length() > args.dp_cap - 4:
+    size = fam_mod.canonical_size(args.n, args.k)
+    if size > CONSTRUCT_CAP:
         raise CapExceeded(f"canonical({args.n},{args.k}) has {size} members,"
-                          f" above 2^(dp-cap - 4) = 2^{args.dp_cap - 4}")
+                          " above the construct cap 2^22")
     fam = fam_mod.canonical_generator(args.n, args.k)
     text = fam_mod.format_family(fam)
     if args.output:

@@ -1,29 +1,44 @@
 """Deciding the k-generator and k-base properties of a set family.
 
-The table over all 2^n target masks is one big int per layer: bit x of layer
-j is set iff mask x is a union of at most j pairwise disjoint members. It
-grows one member g at a time. Positions x with x & g == 0 move to x | g =
-x + g, one layer up, so with disj the bitmap of those positions the update is
+The table over all 2^n target masks has one layer per j = 0..k: bit x of
+layer j is set iff mask x is a union of at most j pairwise disjoint members.
+Each layer is stored as 2^(n-w) chunks of 2^w bits, w = min(n, CHUNK_BITS)
+(the search uses w = n, one chunk per layer): chunk y holds the masks x whose
+high bits x >> w are y. The table grows one member g = g_hi << w | g_lo at a
+time. Positions x with x & g == 0 move to x | g, one layer up; in chunk terms
+x's chunk y misses g_hi and lands in chunk y | g_hi, and within it the low
+part moves by g_lo. With disj the bitmap of the 2^w low parts that miss g_lo,
+the update is
 
-    layers[j] |= (layers[j-1] & disj) << g        for j = k..1
+    cur[y | g_hi] |= (below[y] & disj) << g_lo     for j = k..1, y within reach & ~g_hi
 
-The k-base table, where unions may overlap, is the same table with one more
-step: layer j-1 first has the elements of g folded out of it (see add_member).
+where below and cur are layers j-1 and j, and reach is the union of the high
+parts of the members added so far: no other chunk of below is nonzero. A
+member costs 2^|reach & ~g_hi| small steps per layer instead of passes over
+2^n bits. The k-base table, where unions may overlap, is the same table with
+one more step: the source of chunk y | g_hi is the union of below[y | s] over
+s within g_hi, with the elements of g_lo then folded out of it (see
+add_member).
 
-Members come in ascending order, so the layers and disj are only as wide as
-the largest mask reached so far. Memory is the k+1 layers (k capped at n) and
-the temporaries of one step, at most 2^n bits each.
+Memory is the k+1 layers (k capped at n) of 2^n bits each as chunks, and at
+the end the one int per layer that reachable_layers returns, joined from the
+chunks. The memory of freed chunks mostly stays with the process, so the peak
+is about twice the table.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .errors import CapExceeded, GensetError
 from .families import SetFamily, SubsetMask, check_mask
 
-# Tables of 2^n bits per layer; 26 -> 8 MiB per layer.
-DEFAULT_DP_CAP = 26
+# Tables of 2^n bits per layer; 28 -> 32 MiB per layer.
+DEFAULT_DP_CAP = 28
+# Chunks of 2^13 bits (1 KiB). reachable_layers takes w >= 3, a chunk of whole
+# bytes, so that the join is a to_bytes/from_bytes copy.
+CHUNK_BITS = 13
 
 
 class GeneratorVerdict(NamedTuple):
@@ -31,6 +46,9 @@ class GeneratorVerdict(NamedTuple):
     counterexample: Optional[SubsetMask] = None
 
 
+# The search adds the same few hundred members over and over. 2^10 bitmaps
+# take 1 MiB at w = CHUNK_BITS and 8 MiB at the search's largest w = 16.
+@lru_cache(maxsize=1 << 10)
 def _disjoint_positions(g: SubsetMask, width: int) -> int:
     """Bitmap over the 2^width positions x < 2^width with x & g == 0, built by doubling."""
     block = 1
@@ -38,6 +56,16 @@ def _disjoint_positions(g: SubsetMask, width: int) -> int:
         if not g >> b & 1:
             block |= block << (1 << b)
     return block
+
+
+def _submasks(mask: int) -> list[int]:
+    """mask and every submask of it, ending with 0."""
+    subs = [mask]
+    s = mask
+    while s:
+        s = (s - 1) & mask
+        subs.append(s)
+    return subs
 
 
 def _membership_bitmap(fam: SetFamily) -> int:
@@ -48,25 +76,42 @@ def _membership_bitmap(fam: SetFamily) -> int:
     return int.from_bytes(buf, "little")
 
 
-def add_member(layers: list[int], g: SubsetMask, overlap: bool = False) -> None:
+def add_member(
+    table: list[int], g: SubsetMask, n: int, w: int, reach: int, overlap: bool = False
+) -> None:
     """Extend a table of two or more layers in place by one nonempty member g.
 
-    With overlap the unions may overlap (the k-base table), else they are disjoint.
+    table lists the 2^(n-w) chunks of layer 0, then those of layer 1, and so
+    on; reach covers the chunk index of every nonzero chunk. With overlap the
+    unions may overlap (the k-base table), else they are disjoint.
     """
-    # The layers are nested, so no step reads a position above the highest
-    # one in layer top-1; disj needs only the bits of that position's width.
-    disj = _disjoint_positions(g, (layers[-2].bit_length() - 1).bit_length())
-    for j in range(len(layers) - 1, 0, -1):
-        below = layers[j - 1]
-        if overlap:
-            # y | g = (y & ~g) + g, so fold the elements of g out of y first.
-            # The fold writes y - s for every s within g, y & ~g among them.
-            # Where y - s misses g it shares no bit with s, so y = (y - s) | s
-            # with no borrow and y - s is exactly y & ~g; disj keeps just those.
-            for b in range(g.bit_length()):
-                if g >> b & 1:
-                    below |= below >> (1 << b)
-        layers[j] |= (below & disj) << g
+    chunks = 1 << n - w
+    g_hi = g >> w
+    g_lo = g ^ g_hi << w
+    disj = _disjoint_positions(g_lo, w)
+    ys = _submasks(reach & ~g_hi)
+    if overlap:
+        folds = _submasks(reach & g_hi)
+        shifts = [1 << b for b in range(w) if g_lo >> b & 1]
+    for cur in range(len(table) - chunks, 0, -chunks):
+        lo, hi = cur - chunks, cur + g_hi
+        for y in ys:
+            if overlap:
+                # Chunk y | g_hi gathers the chunks y | s, s within g_hi. Then
+                # x | g_lo = (x & ~g_lo) + g_lo for a low part x, so fold the
+                # elements of g_lo out of x first. The fold writes x - t for
+                # every t within g_lo, x & ~g_lo among them. Where x - t misses
+                # g_lo it shares no bit with t, so x = (x - t) | t with no
+                # borrow and x - t is exactly x & ~g_lo; disj keeps just those.
+                below = 0
+                for s in folds:
+                    below |= table[lo + y + s]
+                for shift in shifts:
+                    below |= below >> shift
+            else:
+                below = table[lo + y]
+            if below:
+                table[hi + y] |= (below & disj) << g_lo
 
 
 def reachable_layers(
@@ -82,18 +127,35 @@ def reachable_layers(
     """
     if k < 0:
         raise GensetError("k must be >= 0")
-    if fam.n > dp_cap:
-        raise CapExceeded(f"n={fam.n} exceeds DP cap {dp_cap} (2^n-bit tables)")
-    top = min(k, fam.n)
+    n = fam.n
+    if n > dp_cap:
+        raise CapExceeded(f"n={n} exceeds DP cap {dp_cap} (2^n-bit tables)")
+    top = min(k, n)
     if top <= 1:
         # Layer 1 is the members themselves, set in one pass over a buffer
-        # instead of one full-width kernel step per member.
+        # instead of one kernel step per member.
         return [1] + [1 | _membership_bitmap(fam)] * top
-    layers = [1] * (top + 1)  # only the empty set so far
+    w = min(n, max(CHUNK_BITS, 3))
+    chunks = 1 << n - w
+    table = [0] * (top + 1) * chunks
+    table[::chunks] = [1] * (top + 1)  # only the empty set so far
+    reach = 0
     for g in fam.members:
         if g:
-            add_member(layers, g, overlap)
-    return layers
+            add_member(table, g, n, w, reach, overlap)
+            reach |= g >> w
+    if chunks == 1:
+        return table
+    size = 1 << w - 3
+    layers = []
+    while table:
+        # Copy the top layer left out as bytes and free its chunks before
+        # the int is read, so that no layer is held three times.
+        data = b"".join(c.to_bytes(size, "little") for c in table[-chunks:])
+        del table[-chunks:]
+        layers.append(int.from_bytes(data, "little"))
+        del data
+    return layers[::-1]
 
 
 def verdict_from_layers(layers: list[int], n: int) -> GeneratorVerdict:

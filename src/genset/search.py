@@ -23,7 +23,7 @@ from .generate import add_member, is_k_generator
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_TIME_BUDGET = 600.0
 # Checked before anything is allocated. (8,3) already takes minutes; n = 16
-# keeps the 2^n-bit tables at 8 KiB.
+# keeps the 2^n-bit tables at 8 KiB, one chunk per layer (w = n).
 SEARCH_CAP = 16
 
 
@@ -46,7 +46,7 @@ class _Budget(Exception):
 
 class _Searcher:
     def __init__(self, n: int, k: int, node_budget: int, deadline: float):
-        self.k = k
+        self.n, self.k = n, k
         self.size = 1 << n
         self.full = (1 << self.size) - 1
         self.cands: dict[int, list[int]] = {}
@@ -130,7 +130,7 @@ class _Searcher:
             if (free ^ gf) & ((1 << gf.bit_length()) - 1):
                 continue
             child = layers.copy()
-            add_member(child, g)
+            add_member(child, g, self.n, self.n, 0)
             wider = touched | g if g & (g - 1) else touched
             # D_2 enters the count prune only for k >= 3.
             more = [h & g for h in chosen].count(0) if self.k > 2 else 0

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from genset import canonical_generator, cli, format_family, generate, graphs, search
+from genset import canonical_generator, cli, families, format_family, generate, graphs, search
 from genset.graphs import (
     Graph, format_graph, graph_from_edges, turan_blowup_graph, turan_clique_closed_form,
 )
@@ -182,17 +182,18 @@ class TestConstruct:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_construct_cap_follows_dp_cap(self, tmp_path, capsys, source):
-        # At most 2^(dp_cap - 4) members: 63 fit under --dp-cap 10, 127 do not.
-        cfg = tmp_path / "caps.cfg"
-        cfg.write_text("dp_cap=10\n")
-        options = ["--dp-cap", "10"] if source == "flag" else ["--config", str(cfg)]
-        assert cli.main(["--no-meta", *options, "construct", "-n", "6", "-k", "1"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1 + 63
-        assert cli.main(["--no-meta", *options, "construct", "-n", "7", "-k", "1"]) == 3
-        out, err = capsys.readouterr()
-        assert out == "" and "2^6" in err
+    @pytest.mark.parametrize("dp_cap", ["10", "28", "62"])
+    def test_construct_cap_ignores_dp_cap(self, capsys, monkeypatch, dp_cap):
+        # At most 2^22 members whatever --dp-cap says: (22,1) has 2^22 - 1 and
+        # fits, (23,1) does not. The cap is read before anything is built.
+        assert families.canonical_size(22, 1) == cli.CONSTRUCT_CAP - 1
+        assert cli.main(["--no-meta", "--dp-cap", dp_cap, "construct", "-n", "7", "-k", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 127
+        monkeypatch.setattr(families, "canonical_generator", lambda n, k: pytest.fail("built"))
+        for n in (23, 40):
+            assert cli.main(["--no-meta", "--dp-cap", dp_cap, "construct", "-n", str(n), "-k", "1"]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and "2^22" in err
 
 
 class TestCheck:

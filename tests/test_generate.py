@@ -16,6 +16,7 @@ from genset import (
     make_family,
     reachable_layers,
 )
+from genset import generate
 from genset.families import SetFamily
 from genset.generate import add_member
 
@@ -57,6 +58,47 @@ def bitmap_to_set(bitmap):
         bitmap >>= 1
         x += 1
     return out
+
+
+def set_to_bitmap(masks):
+    return sum(1 << x for x in masks)
+
+
+def whole_table(fam, k, overlap=False):
+    """The union table built one whole 2^n-bit int per layer: the oracle for the chunked build."""
+    layers = [1] * (min(k, fam.n) + 1)
+    for g in fam.members:
+        if not g:
+            continue
+        disj = 1
+        for b in range(fam.n):
+            if not g >> b & 1:
+                disj |= disj << (1 << b)
+        for j in range(len(layers) - 1, 0, -1):
+            below = layers[j - 1]
+            if overlap:
+                for b in range(g.bit_length()):
+                    if g >> b & 1:
+                        below |= below >> (1 << b)
+            layers[j] |= (below & disj) << g
+    return layers
+
+
+def split(layers, n, w):
+    """A table of whole layers as add_member takes it: 2^(n-w) chunks of 2^w bits per layer."""
+    mask = (1 << (1 << w)) - 1
+    return [layer >> (y << w) & mask for layer in layers for y in range(1 << n - w)]
+
+
+def high_parts(members, w):
+    reach = 0
+    for m in members:
+        reach |= m >> w
+    return reach
+
+
+def with_member(n, members, g):
+    return SetFamily(n, tuple(sorted(members + [g])))
 
 
 small_families = st.integers(1, 4).flatmap(
@@ -124,9 +166,11 @@ class TestReachableLayers:
             members = rng.sample(range(1, 1 << n), rng.randint(0, 6))
             g = rng.choice([x for x in range(1, 1 << n) if x not in members])
             for k in range(1, 4):
-                layers = reachable_layers(SetFamily(n, tuple(sorted(members))), k)
-                add_member(layers, g)
-                assert layers == reachable_layers(SetFamily(n, tuple(sorted(members + [g]))), k)
+                # Whole layers (w = n) and chunks of 2^3 bits.
+                for w in (n, 3):
+                    table = split(reachable_layers(SetFamily(n, tuple(sorted(members))), k), n, w)
+                    add_member(table, g, n, w, high_parts(members, w))
+                    assert table == split(reachable_layers(with_member(n, members, g), k), n, w)
 
     def test_layers_above_n_repeat_layer_n(self):
         # Layers above n would repeat layer n, so none is built: k = 7 on
@@ -141,6 +185,72 @@ class TestReachableLayers:
         fam = make_family(3, [0b001, 0b010, 0b100, 0b011])
         assert reachable_layers(fam, 10**6) == reachable_layers(fam, 3)
         assert reachable_layers(make_family(1, [0b1]), 10**6) == [1, 0b11]
+
+
+def permuted(fam, rng):
+    """fam with its elements relabelled by a random permutation of [n]."""
+    perm = list(range(fam.n))
+    rng.shuffle(perm)
+    members = []
+    for g in fam.members:
+        members.append(sum(1 << perm[b] for b in range(fam.n) if g >> b & 1))
+    return SetFamily(fam.n, tuple(sorted(members)))
+
+
+class TestChunkedTable:
+    """Tables of more than one chunk: CHUNK_BITS below n."""
+
+    @pytest.mark.parametrize("n", range(7, 15))
+    def test_every_chunk_width_matches_brute_force(self, n, monkeypatch):
+        # w = 1 and 2 are read as 3, a chunk of whole bytes.
+        rng = random.Random(500 + n)
+        fams = [_random_family(rng, n), make_family(n, [0, *rng.sample(range(1, 1 << n), 10)])]
+        for fam in fams:
+            for overlap in (False, True):
+                brute = brute_overlapping if overlap else brute_reachable
+                want = [set_to_bitmap(brute(fam, j)) for j in range(4)]
+                for w in range(1, n + 1):
+                    monkeypatch.setattr(generate, "CHUNK_BITS", w)
+                    assert reachable_layers(fam, 3, overlap=overlap) == want, w
+
+    @pytest.mark.parametrize("n,k", [(14, 2), (16, 2), (16, 3), (18, 3), (20, 2), (20, 4)])
+    def test_matches_whole_table_on_permuted_canonical_families(self, n, k, monkeypatch):
+        # Relabelled elements spread the classes over the high bits, so
+        # members reach many chunks; CHUNK_BITS = 9 splits even n = 14.
+        monkeypatch.setattr(generate, "CHUNK_BITS", 9)
+        rng = random.Random(600 + n + k)
+        for fam in (canonical_generator(n, k), permuted(canonical_generator(n, k), rng)):
+            for top in (k - 1, k):
+                for overlap in (False, True):
+                    assert reachable_layers(fam, top, overlap=overlap) == whole_table(fam, top, overlap)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_matches_whole_table_on_random_families(self, n):
+        rng = random.Random(700 + n)
+        for _ in range(2):
+            fam = SetFamily(n, tuple(sorted(rng.sample(range(1, 1 << n), 60))))
+            for overlap in (False, True):
+                assert reachable_layers(fam, 3, overlap=overlap) == whole_table(fam, 3, overlap)
+
+    def test_counterexample_past_chunk_zero(self):
+        # canonical(16,2) without {16}: every mask below 2^15 is still covered,
+        # and {16} = 2^15 lies in chunk 4 of 8 at w = 13.
+        members = [g for g in canonical_generator(16, 2).members if g != 1 << 15]
+        fam = make_family(16, members)
+        assert is_k_generator(fam, 2) == (False, 1 << 15)
+        assert is_k_base(fam, 2) == (False, 1 << 15)
+        layers = reachable_layers(fam, 2)
+        assert decompose(fam, layers, (1 << 16) - 1 - (1 << 15)) is not None
+        assert decompose(fam, layers, 1 << 15) is None
+
+    def test_empty_member_and_k_above_n(self, monkeypatch):
+        monkeypatch.setattr(generate, "CHUNK_BITS", 4)
+        fam = canonical_generator(9, 3)
+        with_empty = SetFamily(9, (0, *fam.members))
+        assert reachable_layers(with_empty, 2) == reachable_layers(fam, 2) == whole_table(fam, 2)
+        assert reachable_layers(fam, 50) == reachable_layers(fam, 9) == whole_table(fam, 9)
+        assert reachable_layers(fam, 50, overlap=True) == whole_table(fam, 9, overlap=True)
+        assert is_k_generator(with_empty, 3).holds and not is_k_generator(with_empty, 2).holds
 
 
 class TestIsKGenerator:
@@ -275,10 +385,12 @@ class TestOverlapTable:
             members = rng.sample(range(1, 1 << n), rng.randint(0, 6))
             g = rng.choice([x for x in range(1, 1 << n) if x not in members])
             for k in range(1, 4):
-                layers = reachable_layers(SetFamily(n, tuple(sorted(members))), k, overlap=True)
-                add_member(layers, g, overlap=True)
-                with_g = SetFamily(n, tuple(sorted(members + [g])))
-                assert layers == reachable_layers(with_g, k, overlap=True)
+                for w in (n, 3):
+                    fam = SetFamily(n, tuple(sorted(members)))
+                    table = split(reachable_layers(fam, k, overlap=True), n, w)
+                    add_member(table, g, n, w, high_parts(members, w), overlap=True)
+                    with_g = reachable_layers(with_member(n, members, g), k, overlap=True)
+                    assert table == split(with_g, n, w)
 
     @pytest.mark.parametrize("n", range(7, 13))
     def test_generator_layers_lie_within_base_layers(self, n):
