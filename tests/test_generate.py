@@ -11,12 +11,12 @@ from genset import (
     canonical_generator,
     count_disjoint_tuples,
     decompose,
+    generate,
     is_k_base,
     is_k_generator,
     make_family,
     reachable_layers,
 )
-from genset import generate
 from genset.families import SetFamily
 from genset.generate import add_member
 
