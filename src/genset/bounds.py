@@ -21,7 +21,7 @@ from .families import (
     canonical_size,
     trivial_lower_bound,
 )
-from .graphs import count_disjoint_tuples, subset_walk
+from .graphs import DEFAULT_GRAPH_CAP, count_disjoint_tuples, subset_walk
 
 PRECISION_BITS = 113
 
@@ -31,16 +31,17 @@ if TYPE_CHECKING:
 
 
 class BoundValue(NamedTuple):
+    """A bound, exact or evaluated at PRECISION_BITS."""
+
     value: Number
     exact: bool
-    precision_bits: Optional[int] = None
 
 
 def _inexact(evaluate) -> BoundValue:
     """evaluate(mpmath), run at PRECISION_BITS and flagged as inexact."""
     import mpmath
     with mpmath.workprec(PRECISION_BITS):
-        return BoundValue(evaluate(mpmath), False, PRECISION_BITS)
+        return BoundValue(evaluate(mpmath), False)
 
 
 def pow2(exponent: Fraction, scale: Fraction = Fraction(1)) -> BoundValue:
@@ -148,7 +149,6 @@ def small_union_probability(
 
 
 class UnionBoundReport(NamedTuple):
-    params: BoundParams
     threshold: int
     probability: ProbabilityEstimate
     analytic: BoundValue
@@ -186,7 +186,7 @@ def union_bound_check(
         holds = prob.value <= analytic.value
     else:
         holds = float(prob.value) <= float(analytic.value)
-    return UnionBoundReport(params, threshold, prob, analytic, in_regime, holds)
+    return UnionBoundReport(threshold, prob, analytic, in_regime, holds)
 
 
 class CoverageReport(NamedTuple):
@@ -195,9 +195,11 @@ class CoverageReport(NamedTuple):
     holds: bool
 
 
-def coverage_inequality_check(fam: SetFamily, k: int) -> CoverageReport:
+def coverage_inequality_check(
+    fam: SetFamily, k: int, graph_cap: int = DEFAULT_GRAPH_CAP
+) -> CoverageReport:
     """For a k-generator the number of disjoint <=k-tuples must reach 2^n."""
-    tuples = count_disjoint_tuples(fam, k)
+    tuples = count_disjoint_tuples(fam, k, graph_cap)
     two_to_n = 1 << fam.n
     return CoverageReport(tuples, two_to_n, tuples >= two_to_n)
 

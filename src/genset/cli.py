@@ -46,15 +46,16 @@ def _jsonable(value):
 
 def _bound_json(bound) -> dict:
     """A bounds.BoundValue: its rational when exact, else its float and precision."""
+    from .bounds import PRECISION_BITS
     out = _jsonable(bound.value) if bound.exact else {"approx": float(bound.value)}
     out["exact"] = bound.exact
-    if bound.precision_bits is not None:
-        out["precision_bits"] = bound.precision_bits
+    if not bound.exact:
+        out["precision_bits"] = PRECISION_BITS
     return out
 
 
-def _emit(record: dict, out=None) -> None:
-    print(json.dumps(record, sort_keys=True), file=out or sys.stdout)
+def _emit(record: dict) -> None:
+    print(json.dumps(record, sort_keys=True))
 
 
 def _read_family(path: str) -> fam_mod.SetFamily:
@@ -80,16 +81,6 @@ def _write_graph(graph_mod, g, path, record: dict) -> None:
         with open(path, "w") as fh:
             fh.write(graph_mod.format_graph(g))
         record["written"] = path
-
-
-def _parse_set(text: str, n: int) -> int:
-    if text == "-":
-        return 0
-    try:
-        elements = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise FamilyFormatError(f"bad set {text!r}")
-    return fam_mod.mask_from_elements(elements, n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,18 +198,10 @@ def _apply_config(args) -> None:
     if not args.config:
         return
     with open(args.config) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in {"dp_cap", "graph_cap", "node_budget", "time_budget"}:
-                raise GensetError(f"unknown config key {key!r}")
-            try:
-                setattr(args, key, float(val) if key == "time_budget" else int(val))
-            except ValueError:
-                raise GensetError(f"bad value {val.strip()!r} for config key {key!r}")
+        for lineno, line in fam_mod._content_lines(fh.read()):
+            setattr(args, *fam_mod._key_value(lineno, line, {
+                "dp_cap": int, "graph_cap": int, "node_budget": int, "time_budget": float,
+            }))
 
 
 def _cmd_construct(args) -> int:
@@ -239,7 +222,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check(args) -> int:
     fam = _read_family(args.family)
-    target = None if args.decompose is None else _parse_set(args.decompose, fam.n)
+    target = None if args.decompose is None else fam_mod._parse_set(args.decompose, fam.n)
     status = EXIT_OK
     layers = None
     if args.base:
@@ -408,7 +391,8 @@ def _cmd_bounds(args) -> int:
     if args.action == "coverage":
         fam = _read_family(args.family)
         verdict = gen_mod.is_k_generator(fam, args.k, dp_cap=args.dp_cap)
-        report = bounds_mod.coverage_inequality_check(fam, args.k)
+        _graphs(args)  # fills in --graph-cap
+        report = bounds_mod.coverage_inequality_check(fam, args.k, graph_cap=args.graph_cap)
         _emit({
             "k": args.k, "tuples": report.tuples, "two_to_n": report.two_to_n,
             "holds": report.holds, "verified_generator": verdict.holds,

@@ -1,5 +1,8 @@
 """Ground-set and set-family representations, the canonical generator, and counting bounds.
 
+Also the mask primitives (bit and submask walks) and the text syntax (comments,
+'key=<value>' lines, sets) that the other layers and the CLI share.
+
 A subset of the ground set [n] = {1, ..., n} is stored as an int bitmask:
 element i corresponds to bit i-1, so {1, 3} is 0b101 = 5 and the empty set is 0.
 """
@@ -37,16 +40,28 @@ def mask_from_elements(elements, n: int) -> SubsetMask:
     return mask
 
 
+def _bits(mask: int) -> list[int]:
+    """The 0-based positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _submasks(mask: int) -> list[int]:
+    """mask and every submask of it, descending, ending with 0."""
+    subs = [mask]
+    s = mask
+    while s:
+        s = (s - 1) & mask
+        subs.append(s)
+    return subs
+
+
 def mask_elements(mask: SubsetMask) -> list[int]:
     """1-based elements of a mask, ascending."""
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return out
+    return [b + 1 for b in _bits(mask)]
 
 
 def format_mask(mask: SubsetMask) -> str:
@@ -99,21 +114,11 @@ def canonical_partition(n: int, k: int) -> tuple[SubsetMask, ...]:
     return tuple(classes)
 
 
-def _subsets_of(mask: SubsetMask):
-    """All submasks of mask, ascending, including 0."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
 def canonical_generator(n: int, k: int) -> SetFamily:
     """Union over the partition classes of all their nonempty subsets."""
     members: set[int] = set()
     for cls in canonical_partition(n, k):
-        members.update(_subsets_of(cls))
+        members.update(_submasks(cls))
     members.discard(0)
     return SetFamily(n, tuple(sorted(members)))
 
@@ -156,6 +161,48 @@ def format_family(fam: SetFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _content_lines(text: str):
+    """(line number, content) of each line left nonblank once its '#' comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _key_value(lineno: int, line: str, types: dict) -> tuple:
+    """(key, value) of a 'key=<value>' line, the value read by types[key].
+
+    A '-' in the key reads as '_'; a key not in types is an error.
+    """
+    key, _, value = line.partition("=")
+    key = key.strip().replace("-", "_")
+    if key not in types:
+        wanted = " or ".join(f"{k}=<{t.__name__}>" for k, t in types.items())
+        raise FamilyFormatError(f"line {lineno}: expected {wanted}, got {line!r}")
+    try:
+        return key, types[key](value)
+    except ValueError:
+        raise FamilyFormatError(f"line {lineno}: bad value {value.strip()!r} for {key}")
+
+
+def _parse_set(text: str, n: int, where: str = "") -> SubsetMask:
+    """The mask of '-' (the empty set) or of ascending elements of [n] such as '1,3,4'.
+
+    where prefixes every error message.
+    """
+    if text == "-":
+        return 0
+    try:
+        elems = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise FamilyFormatError(f"{where}bad set {text!r}")
+    if elems != sorted(set(elems)):
+        raise FamilyFormatError(f"{where}elements must be strictly ascending")
+    if any(not 1 <= e <= n for e in elems):
+        raise FamilyFormatError(f"{where}element out of range for n={n}")
+    return mask_from_elements(elems, n)
+
+
 def parse_family(text: str) -> SetFamily:
     """Strict parser for the family file format.
 
@@ -164,31 +211,12 @@ def parse_family(text: str) -> SetFamily:
     """
     n = None
     masks = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if n is None:
-            if not line.startswith("n="):
-                raise FamilyFormatError(f"line {lineno}: expected 'n=<int>' header")
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise FamilyFormatError(f"line {lineno}: bad ground-set size {line[2:]!r}")
+            n = _key_value(lineno, line, {"n": int})[1]
             check_ground_set(n)
-            continue
-        if line == "-":
-            masks.append(0)
-            continue
-        try:
-            elems = [int(tok) for tok in line.split(",")]
-        except ValueError:
-            raise FamilyFormatError(f"line {lineno}: bad set {line!r}")
-        if elems != sorted(set(elems)):
-            raise FamilyFormatError(f"line {lineno}: elements must be strictly ascending")
-        if any(not 1 <= e <= n for e in elems):
-            raise FamilyFormatError(f"line {lineno}: element out of range for n={n}")
-        masks.append(mask_from_elements(elems, n))
+        else:
+            masks.append(_parse_set(line, n, f"line {lineno}: "))
     if n is None:
         raise FamilyFormatError("missing 'n=<int>' header")
     return make_family(n, masks)

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .errors import CapExceeded, GensetError
-from .families import SetFamily, SubsetMask, check_mask
+from .families import SetFamily, SubsetMask, _bits, _submasks, check_mask
 
 # Tables of 2^n bits per layer; 28 -> 32 MiB per layer.
 DEFAULT_DP_CAP = 28
@@ -56,16 +56,6 @@ def _disjoint_positions(g: SubsetMask, width: int) -> int:
         if not g >> b & 1:
             block |= block << (1 << b)
     return block
-
-
-def _submasks(mask: int) -> list[int]:
-    """mask and every submask of it, ending with 0."""
-    subs = [mask]
-    s = mask
-    while s:
-        s = (s - 1) & mask
-        subs.append(s)
-    return subs
 
 
 def _membership_bitmap(fam: SetFamily) -> int:
@@ -92,7 +82,7 @@ def add_member(
     ys = _submasks(reach & ~g_hi)
     if overlap:
         folds = _submasks(reach & g_hi)
-        shifts = [1 << b for b in range(w) if g_lo >> b & 1]
+        shifts = [1 << b for b in _bits(g_lo)]
     for cur in range(len(table) - chunks, 0, -chunks):
         lo, hi = cur - chunks, cur + g_hi
         for y in ys:
@@ -158,17 +148,21 @@ def reachable_layers(
     return layers[::-1]
 
 
+def _smallest_missing(covered: int, n: int) -> Optional[SubsetMask]:
+    """The smallest mask x < 2^n whose bit is clear in covered, or None if there is none."""
+    if covered.bit_count() == 1 << n:
+        return None
+    # covered + 1 clears the ones below bit x and sets bit x.
+    return (covered ^ (covered + 1)).bit_length() - 1
+
+
 def verdict_from_layers(layers: list[int], n: int) -> GeneratorVerdict:
     """The verdict read off the top layer of a reachable_layers table.
 
     On failure the counterexample is the numerically smallest uncovered mask.
     """
-    full = (1 << (1 << n)) - 1
-    covered = layers[-1]
-    if covered == full:
-        return GeneratorVerdict(True)
-    uncovered = ~covered & full
-    return GeneratorVerdict(False, (uncovered & -uncovered).bit_length() - 1)
+    x = _smallest_missing(layers[-1], n)
+    return GeneratorVerdict(x is None, x)
 
 
 def is_k_generator(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> GeneratorVerdict:

@@ -12,7 +12,7 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .errors import CapExceeded, FamilyFormatError, GensetError, WorkLimitExceeded
-from .families import SetFamily
+from .families import SetFamily, _bits, _content_lines, _key_value
 
 DEFAULT_GRAPH_CAP = 1 << 16
 DEFAULT_BLOWUP_CAP = 64
@@ -34,9 +34,6 @@ class Graph(NamedTuple):
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
 
 
 def graph_from_edges(m: int, edges) -> Graph:
@@ -128,12 +125,7 @@ def _clique_profile(
     return profile
 
 
-def count_cliques(
-    graph: Graph,
-    r: int,
-    work_limit: int = DEFAULT_CLIQUE_WORK_LIMIT,
-    within: Optional[int] = None,
-) -> int:
+def count_cliques(graph: Graph, r: int, within: Optional[int] = None) -> int:
     """Exact number of r-cliques, by one walk that intersects bit rows down the vertex labels.
 
     With a vertex mask within, only the cliques of the subgraph it induces count.
@@ -142,17 +134,16 @@ def count_cliques(
         raise GensetError("r must be >= 1")
     if r > (graph.m if within is None else within.bit_count()):
         return 0
-    return _clique_profile(graph, r, work_limit, within)[r]
+    return _clique_profile(graph, r, DEFAULT_CLIQUE_WORK_LIMIT, within)[r]
 
 
-def count_disjoint_tuples(
-    fam: SetFamily, k: int, work_limit: int = DEFAULT_CLIQUE_WORK_LIMIT
-) -> int:
+def count_disjoint_tuples(fam: SetFamily, k: int, graph_cap: int = DEFAULT_GRAPH_CAP) -> int:
     """Number of unordered tuples of at most k pairwise disjoint distinct members.
 
     These are the cliques of the disjointness graph, the empty tuple and the
     empty set included, so the count is 1 + sum over r <= k of its r-clique
-    counts. The graph's m(m-1)/2 pair tests are charged against work_limit first.
+    counts. The graph's m(m-1)/2 pair tests are charged against
+    DEFAULT_CLIQUE_WORK_LIMIT first.
     """
     if k < 0:
         raise GensetError("k must be >= 0")
@@ -160,9 +151,10 @@ def count_disjoint_tuples(
     if k <= 1:
         return 1 + k * m
     pairs = m * (m - 1) // 2
-    if pairs > work_limit:
-        raise WorkLimitExceeded(f"{pairs} pair tests exceed work limit {work_limit}")
-    return sum(_clique_profile(disjointness_graph(fam), min(k, m), work_limit - pairs))
+    limit = DEFAULT_CLIQUE_WORK_LIMIT
+    if pairs > limit:
+        raise WorkLimitExceeded(f"{pairs} pair tests exceed work limit {limit}")
+    return sum(_clique_profile(disjointness_graph(fam, graph_cap), min(k, m), limit - pairs))
 
 
 def clique_density(graph: Graph, r: int, count: Optional[int] = None) -> Fraction:
@@ -216,9 +208,7 @@ def turan_clique_closed_form(s: int, T: int, r: int) -> int:
     return comb(s, r) * T**r
 
 
-def find_blowup(
-    graph: Graph, a: int, t: int, vertex_cap: int = DEFAULT_BLOWUP_CAP
-) -> Optional[list[tuple[int, ...]]]:
+def find_blowup(graph: Graph, a: int, t: int) -> Optional[list[tuple[int, ...]]]:
     """a disjoint vertex classes of size t with every cross-class pair an edge, or None.
 
     Edges inside a class are allowed and ignored: only the cross edges of the
@@ -228,8 +218,8 @@ def find_blowup(
     if a < 2 or t < 1:
         raise GensetError("need a >= 2 and t >= 1")
     m = graph.m
-    if m > vertex_cap:
-        raise CapExceeded(f"{m} vertices exceed blow-up cap {vertex_cap}")
+    if m > DEFAULT_BLOWUP_CAP:
+        raise CapExceeded(f"{m} vertices exceed blow-up cap {DEFAULT_BLOWUP_CAP}")
     rows = graph.rows
 
     def extend(classes: list[tuple[int, ...]], common: int, min_start: int):
@@ -290,13 +280,7 @@ def erdos_max_check(l: int, s: int, r: int) -> ErdosMaxReport:
         if s == 2:
             return common != 0
         if s == 3:
-            rest = common
-            while rest:
-                w = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if rows[w] & common & ~((1 << (w + 1)) - 1):
-                    return True
-            return False
+            return any(rows[w] & common for w in _bits(common))
         # Most calls end here, before a Graph is built for the walk.
         if common.bit_count() < s - 1:
             return False
@@ -336,14 +320,6 @@ def erdos_max_check(l: int, s: int, r: int) -> ErdosMaxReport:
         l, s, r, best["count"], Graph(best["rows"]), turan_count,
         best["count"] == turan_count, best["leaves"],
     )
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def subset_walk(pool, size: int, trials: Optional[int] = None, seed: Optional[int] = None):
@@ -417,17 +393,9 @@ def format_graph(graph: Graph) -> str:
 def parse_graph(text: str, graph_cap: int = DEFAULT_GRAPH_CAP) -> Graph:
     m = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if m is None:
-            if not line.startswith("vertices="):
-                raise FamilyFormatError(f"line {lineno}: expected 'vertices=<m>' header")
-            try:
-                m = int(line[len("vertices="):])
-            except ValueError:
-                raise FamilyFormatError(f"line {lineno}: bad vertex count {line!r}")
+            m = _key_value(lineno, line, {"vertices": int})[1]
             if m < 0:
                 raise FamilyFormatError(f"line {lineno}: negative vertex count {m}")
             if m > graph_cap:

@@ -17,8 +17,10 @@ from math import comb, isnan
 from typing import NamedTuple, Optional
 
 from .errors import CapExceeded, GensetError
-from .families import SetFamily, canonical_generator, canonical_size, trivial_lower_bound
-from .generate import add_member, is_k_generator
+from .families import (
+    SetFamily, _submasks, canonical_generator, canonical_size, trivial_lower_bound,
+)
+from .generate import _smallest_missing, add_member, is_k_generator
 
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_TIME_BUDGET = 600.0
@@ -48,22 +50,12 @@ class _Searcher:
     def __init__(self, n: int, k: int, node_budget: int, deadline: float):
         self.n, self.k = n, k
         self.size = 1 << n
-        self.full = (1 << self.size) - 1
+        # x -> the nonempty subsets of x, largest first, then ascending mask:
+        # the branching order.
         self.cands: dict[int, list[int]] = {}
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
-
-    def _candidates(self, x: int) -> list[int]:
-        """The nonempty subsets of x, largest first, then ascending mask: the branching order."""
-        subs = []
-        g = x
-        while g:
-            subs.append(g)
-            g = (g - 1) & x
-        subs.sort(key=lambda g: (-g.bit_count(), g))
-        self.cands[x] = subs
-        return subs
 
     def find(self, target: int) -> Optional[list[int]]:
         """A k-generator of size <= target, or None if none exists."""
@@ -72,9 +64,9 @@ class _Searcher:
         # j <= k - i old ones. The old j-tuples number 1, c, D_2 (the disjoint
         # pairs among the chosen) and at most C(c, j) for j >= 3. So a node is
         # cut when covered + base + per_pair[c] * D_2 < 2^n, i.e. when
-        # covered + per_pair[c] * D_2 < need[c].
+        # covered + per_pair[c] * D_2 < need[c]. A complete family is never
+        # cut, and at c = target (need 2^n, per_pair 0) every other one is.
         k = self.k
-        self.target = target
         self.need, self.per_pair = [], []
         for c in range(target + 1):
             slots = target - c
@@ -100,15 +92,12 @@ class _Searcher:
         ):
             raise _Budget
         covered = layers[-1]
-        if covered == self.full:
-            return chosen
         c = len(chosen)
-        if c == self.target:
-            return None
         if covered.bit_count() + self.per_pair[c] * pairs < self.need[c]:
             return None
-        x = (~covered & self.full)
-        x = (x & -x).bit_length() - 1  # smallest ungenerated mask
+        x = _smallest_missing(covered, self.n)  # smallest ungenerated mask
+        if x is None:
+            return chosen
         # Symmetry. Every proper subset of x is a smaller mask, so generated; a
         # singleton generates only itself, so every singleton of x is chosen.
         # Swapping two elements of free (in x, in no chosen non-singleton) thus
@@ -123,7 +112,10 @@ class _Searcher:
         # smaller mask and so a lower rank. Trying only such canonical g
         # therefore misses no orbit.
         free = x & ~touched
-        for g in self.cands.get(x) or self._candidates(x):
+        cands = self.cands.get(x)
+        if cands is None:
+            cands = self.cands[x] = sorted(_submasks(x)[:-1], key=lambda g: (-g.bit_count(), g))
+        for g in cands:
             if skip >> g & 1:
                 continue
             gf = g & free

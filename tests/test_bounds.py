@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 from math import comb, isclose
 
+import mpmath
 import pytest
 
 from genset import (
@@ -20,7 +21,15 @@ from genset import (
     trivial_lower_bound,
     union_bound_check,
 )
-from genset.bounds import pow2
+from genset.bounds import PRECISION_BITS, pow2
+
+
+def assert_at_precision(bound, reference):
+    """bound is inexact and agrees with reference(mpmath), run at 200 bits, to
+    about PRECISION_BITS: a double-precision value would miss by 2^-53."""
+    assert not bound.exact and PRECISION_BITS == 113
+    with mpmath.workprec(200):
+        assert abs(bound.value / reference(mpmath) - 1) < mpmath.mpf(2) ** -100
 
 
 def family_of_size_32_on_9():
@@ -38,8 +47,7 @@ class TestPow2:
 
     def test_fractional_exponent_reports_precision(self):
         val = pow2(Fraction(3, 2))
-        assert not val.exact
-        assert val.precision_bits == 113
+        assert_at_precision(val, lambda mp: 2 * mp.sqrt(2))
         assert isclose(float(val.value), 2**1.5, rel_tol=1e-12)
 
     def test_scale_multiplies_exactly(self):
@@ -75,9 +83,12 @@ class TestLemma4Bound:
         assert lemma4_bound(p).value == expected
 
     def test_inexact_delta_is_evaluated_at_reported_precision(self):
-        value = lemma4_bound(BoundParams(n=10, k=2, m=33, t=3))
-        assert not value.exact
-        assert value.precision_bits == 113
+        # 3 2^{10(1 - 3 delta)} C(33, 3)^3 / 3! with delta = log2(33)/10 - 1/3.
+        assert_at_precision(
+            lemma4_bound(BoundParams(n=10, k=2, m=33, t=3)),
+            lambda mp: 3 * mp.power(2, 10 * (1 - 3 * (mp.log(33, 2) / 10 - mp.mpf(1) / 3)))
+            * comb(33, 3) ** 3 / 6,
+        )
 
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(GensetError):
@@ -118,7 +129,7 @@ class TestAnalyticUnionBound:
 
     def test_non_integral_exponent_high_precision(self):
         value = analytic_union_bound(10, 2, 32, 2)
-        assert not value.exact and value.precision_bits == 113
+        assert_at_precision(value, lambda mp: mp.power(2, mp.mpf(50) / 3) / 32**2)
         assert isclose(float(value.value), 2**10 * (2 ** (10 / 3) / 32) ** 2, rel_tol=1e-12)
 
 
@@ -233,7 +244,7 @@ class TestBoundParams:
 
     def test_delta_inexact_otherwise(self):
         d = BoundParams(n=10, k=2, m=33, t=3).resolved_delta()
-        assert not d.exact and d.precision_bits == 113
+        assert_at_precision(d, lambda mp: mp.log(33, 2) / 10 - mp.mpf(1) / 3)
 
     def test_explicit_delta_wins(self):
         d = BoundParams(n=10, k=2, m=33, t=3, delta=Fraction(1, 7)).resolved_delta()

@@ -78,6 +78,8 @@ class TestExitCodes:
             ({"g": "vertices=3\n0 a\n"}, ("graph", "--graph", "{g}")),
             ({}, ("check", "--family", "{fam}", "-k", "2", "--decompose", "1,a")),
             ({}, ("check", "--family", "{fam}", "-k", "2", "--decompose", "9")),
+            ({}, ("check", "--family", "{fam}", "-k", "2", "--decompose", "3,1")),
+            ({}, ("check", "--family", "{fam}", "-k", "2", "--decompose", "1,1")),
             ({"fam": b"n=2\n\xff\n"}, ("check", "--family", "{fam}", "-k", "2")),
             ({"g": "vertices=4\n0 1\n"}, ("experiment", "dense-subset", "--graph", "{g}",
                                           "-l", "2", "-r", "2", "--threshold", "1/2",
@@ -106,7 +108,8 @@ class TestExitCodes:
             ({"cfg": "time_budget=nan\n"}, ("--config", "{cfg}", "search-min", "-n", "3", "-k", "2")),
         ],
         ids=["config-value", "threads-key", "graph-header", "graph-edge",
-             "decompose-token", "decompose-range", "family-bytes",
+             "decompose-token", "decompose-range", "decompose-descending",
+             "decompose-repeated", "family-bytes",
              "dense-sample-zero", "dense-sample-negative", "dense-threshold-zero-denominator",
              "union-prob-sample-zero", "union-prob-sample-negative",
              "union-check-trials-zero", "union-check-trials-negative",
@@ -493,6 +496,18 @@ class TestCapDefaults:
             out, err = capsys.readouterr()
             refused = (status, out) == (3, "") and f"exceed graph cap {cap}" in err
             assert refused is (vertices > cap), (vertices, status, err)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_coverage_graph_cap_applies(self, tmp_path, capsys, fam42, source):
+        # canonical(4,2) has 6 members, so its disjointness graph has 6 vertices.
+        for cap in (5, 6):
+            cfg = tmp_path / "caps.cfg"
+            cfg.write_text(f"graph_cap={cap}\n")
+            options = {"flag": ["--graph-cap", str(cap)], "config": ["--config", str(cfg)]}[source]
+            status = cli.main(["--no-meta", *options, "bounds", "coverage", "--family", fam42, "-k", "2"])
+            out, err = capsys.readouterr()
+            refused = (status, out) == (3, "") and f"exceeds graph cap {cap}" in err
+            assert refused is (cap < 6), (cap, status, err)
 
 
 # Help texts of the parser as it stood before --graph-cap's default moved into

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,31 @@ from genset import (
     parse_family,
     trivial_lower_bound,
 )
-from genset.families import format_mask, mask_from_elements
+from genset.families import _bits, _submasks, format_mask, mask_elements, mask_from_elements
+
+
+def random_masks(seed, count=200):
+    """Seeded masks of every width up to 62 bits, with 0 and the all-ones masks among them."""
+    rng = random.Random(seed)
+    masks = [0, 1, (1 << 12) - 1, (1 << 62) - 1]
+    masks += [rng.getrandbits(rng.randint(1, 62)) for _ in range(count)]
+    return masks
+
+
+class TestMaskPrimitives:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_submasks_against_a_scan(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            m = rng.getrandbits(rng.randint(0, 12))
+            assert _submasks(m) == [s for s in range(m, -1, -1) if s & ~m == 0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bits_against_a_shift_loop(self, seed):
+        for m in random_masks(seed):
+            shifted = [b for b in range(m.bit_length()) if m >> b & 1]
+            assert _bits(m) == shifted
+            assert mask_elements(m) == [b + 1 for b in shifted]
 
 
 class TestMakeFamily:

@@ -12,13 +12,14 @@ from genset import (
     count_disjoint_tuples,
     decompose,
     generate,
+    graphs,
     is_k_base,
     is_k_generator,
     make_family,
     reachable_layers,
 )
 from genset.families import SetFamily
-from genset.generate import add_member
+from genset.generate import _smallest_missing, add_member
 
 
 def brute_reachable(fam, k):
@@ -243,6 +244,18 @@ class TestChunkedTable:
         assert decompose(fam, layers, (1 << 16) - 1 - (1 << 15)) is not None
         assert decompose(fam, layers, 1 << 15) is None
 
+    def test_counterexample_in_the_last_chunk(self):
+        # canonical(16,2) without {14,15,16}: that set is still a union of two
+        # members, but {1,14,15,16} now needs three. Every smaller mask is
+        # covered, and it lies in chunk 7 of 8 at w = 13.
+        drop = 0b111 << 13
+        fam = make_family(16, [g for g in canonical_generator(16, 2).members if g != drop])
+        top = reachable_layers(fam, 2)[-1]
+        missing = next(x for x in range(1 << 16) if not top >> x & 1)
+        assert missing == 1 | drop and missing >> generate.CHUNK_BITS == 7
+        assert _smallest_missing(top, 16) == missing
+        assert is_k_generator(fam, 2) == (False, missing)
+
     def test_empty_member_and_k_above_n(self, monkeypatch):
         monkeypatch.setattr(generate, "CHUNK_BITS", 4)
         fam = canonical_generator(9, 3)
@@ -251,6 +264,26 @@ class TestChunkedTable:
         assert reachable_layers(fam, 50) == reachable_layers(fam, 9) == whole_table(fam, 9)
         assert reachable_layers(fam, 50, overlap=True) == whole_table(fam, 9, overlap=True)
         assert is_k_generator(with_empty, 3).holds and not is_k_generator(with_empty, 2).holds
+
+
+class TestSmallestMissing:
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_only_bit_zero_set(self, n):
+        assert _smallest_missing(1, n) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_only_the_top_bit_missing(self, n):
+        size = 1 << n
+        assert _smallest_missing((1 << size - 1) - 1, n) == size - 1
+        assert _smallest_missing((1 << size) - 1, n) is None
+
+    def test_against_a_scan(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            covered = rng.getrandbits(1 << n) | rng.getrandbits(1 << n)
+            first = next((x for x in range(1 << n) if not covered >> x & 1), None)
+            assert _smallest_missing(covered, n) == first
 
 
 class TestIsKGenerator:
@@ -416,10 +449,11 @@ class TestCountDisjointTuples:
         fam = canonical_generator(4, 2)
         assert count_disjoint_tuples(fam, 0) == 1
 
-    def test_work_limit(self):
+    def test_work_limit(self, monkeypatch):
         fam = canonical_generator(8, 2)
+        monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_WORK_LIMIT", 10)
         with pytest.raises(WorkLimitExceeded):
-            count_disjoint_tuples(fam, 2, work_limit=10)
+            count_disjoint_tuples(fam, 2)
 
     @settings(max_examples=150)
     @given(small_families, st.integers(0, 4))

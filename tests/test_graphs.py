@@ -21,6 +21,7 @@ from genset import (
     find_blowup,
     format_graph,
     graph_from_edges,
+    graphs,
     make_family,
     parse_graph,
     turan_blowup_graph,
@@ -78,7 +79,7 @@ def induced_subgraph(g, vertices):
     for v in vertices:
         acc = 0
         for u in vertices:
-            if u != v and g.has_edge(u, v):
+            if u != v and g.rows[u] >> v & 1:
                 acc |= 1 << index[u]
         rows.append(acc)
     return Graph(tuple(rows))
@@ -86,7 +87,7 @@ def induced_subgraph(g, vertices):
 
 def clique_profile_by_sets(g, r):
     """Independent oracle: [1, K_1, ..., K_r] by growing cliques upward over Python sets."""
-    nbrs = [{u for u in range(g.m) if g.has_edge(u, v)} for v in range(g.m)]
+    nbrs = [{u for u in range(g.m) if g.rows[u] >> v & 1} for v in range(g.m)]
     profile = [1] + [0] * r
 
     def extend(cands, size):
@@ -103,11 +104,11 @@ class TestDisjointnessGraph:
     def test_nonempty_subsets_of_2(self):
         g = disjointness_graph(make_family(2, [0b01, 0b10, 0b11]))
         assert g.edge_count() == 1
-        assert g.has_edge(0, 1)
+        assert g.rows[0] >> 1 & 1
 
     def test_empty_set_is_adjacent_to_everything(self):
         g = disjointness_graph(make_family(3, [0, 0b101]))
-        assert g.has_edge(0, 1)
+        assert g.rows[0] >> 1 & 1
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_edge_count_closed_form(self, q):
@@ -161,7 +162,7 @@ class TestCountCliques:
             expected = sum(
                 1
                 for combo in itertools.combinations(range(10), r)
-                if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2))
+                if all(g.rows[u] >> v & 1 for u, v in itertools.combinations(combo, 2))
             )
             assert count_cliques(g, r) == expected
 
@@ -256,13 +257,15 @@ class TestCountDisjointTuplesAsCliques:
         fam = make_family(10, range(1, 1 << 10))
         assert count_disjoint_tuples(fam, 4) == 1 + 1023 + 28501 + 145750 + 246730 == 422005
 
-    def test_pair_tests_are_charged_first(self):
+    def test_pair_tests_are_charged_first(self, monkeypatch):
         fam = canonical_generator(8, 2)
         pairs = fam.m * (fam.m - 1) // 2
         expected = brute_disjoint_tuples(fam.members, 2)
-        assert count_disjoint_tuples(fam, 2, work_limit=pairs) == expected
+        monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_WORK_LIMIT", pairs)
+        assert count_disjoint_tuples(fam, 2) == expected
+        monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_WORK_LIMIT", pairs - 1)
         with pytest.raises(WorkLimitExceeded):
-            count_disjoint_tuples(fam, 2, work_limit=pairs - 1)
+            count_disjoint_tuples(fam, 2)
 
 
 class TestCliqueDensity:
@@ -341,16 +344,17 @@ class TestFindBlowup:
             for ca, cb in itertools.combinations(classes, 2):
                 for u in ca:
                     for v in cb:
-                        assert g.has_edge(u, v)
+                        assert g.rows[u] >> v & 1
 
     def test_intra_class_edges_are_ignored(self):
         # K4 contains a 2+2 blow-up even though each class is internally joined.
         k4 = graph_from_edges(4, itertools.combinations(range(4), 2))
         assert find_blowup(k4, 2, 2) is not None
 
-    def test_vertex_cap(self):
+    def test_vertex_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs, "DEFAULT_BLOWUP_CAP", 5)
         with pytest.raises(CapExceeded):
-            find_blowup(turan_blowup_graph(3, 2), 2, 2, vertex_cap=5)
+            find_blowup(turan_blowup_graph(3, 2), 2, 2)
 
 
 class TestErdosMaxCheck:
@@ -415,7 +419,7 @@ class TestDenseSubsetFraction:
         direct = 0
         for combo in itertools.combinations(range(9), 5):
             edges = sum(
-                1 for u, v in itertools.combinations(combo, 2) if g.has_edge(u, v)
+                1 for u, v in itertools.combinations(combo, 2) if g.rows[u] >> v & 1
             )
             if Fraction(edges, comb(5, 2)) >= threshold:
                 direct += 1
