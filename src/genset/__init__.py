@@ -21,12 +21,12 @@ _LAZY = {
         " format_family make_family mask_from_elements parse_family trivial_lower_bound",
         "generate": "GeneratorVerdict decompose is_k_base is_k_generator reachable_layers",
         "search": "SearchReport min_generator_size verify_conjecture_range",
-        "graphs": "DenseSubsetResult ErdosMaxReport Graph clique_density count_cliques"
+        "graphs": "ErdosMaxReport Estimate Graph clique_density count_cliques"
         " count_disjoint_tuples dense_subset_fraction disjointness_graph erdos_max_check"
         " find_blowup format_graph graph_from_edges parse_graph turan_blowup_graph"
         " turan_clique_closed_form turan_eta",
-        "bounds": "BoundParams BoundValue analytic_union_bound bound_table"
-        " coverage_inequality_check lemma4_bound small_union_probability union_bound_check",
+        "bounds": "BoundValue analytic_union_bound bound_table coverage_inequality_check"
+        " lemma4_bound resolve_delta small_union_probability union_bound_check",
     }.items()
     for name in names.split()
 }

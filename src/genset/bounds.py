@@ -12,7 +12,7 @@ a power of two), so exact bounds never load it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, sqrt
+from math import comb, factorial
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .errors import GensetError
@@ -21,7 +21,7 @@ from .families import (
     canonical_size,
     trivial_lower_bound,
 )
-from .graphs import DEFAULT_GRAPH_CAP, count_disjoint_tuples, subset_walk
+from .graphs import DEFAULT_GRAPH_CAP, Estimate, count_disjoint_tuples, subset_fraction
 
 PRECISION_BITS = 113
 
@@ -55,49 +55,37 @@ def pow2(exponent: Fraction, scale: Fraction = Fraction(1)) -> BoundValue:
     )
 
 
-class BoundParams(NamedTuple):
-    """Parameters for the union-size probability bound experiments.
+def resolve_delta(n: int, k: int, m: int, delta: Optional[Fraction] = None) -> BoundValue:
+    """How far m sits above the 2^{n/(k+1)} scale: m = 2^{(1/(k+1) + delta) n}.
 
-    delta measures how far m sits above the 2^{n/(k+1)} scale:
-    m = 2^{(1/(k+1) + delta) n}. When omitted it is derived from m (exactly
-    when m is a power of two).
+    A given delta is taken as it is; otherwise it is derived from m, exactly
+    when m is a power of two.
     """
-
-    n: int
-    k: int
-    m: int
-    t: int
-    delta: Optional[Fraction] = None
-
-    def resolved_delta(self) -> BoundValue:
-        if self.delta is not None:
-            return BoundValue(Fraction(self.delta), True)
-        if self.m >= 1 and self.m & (self.m - 1) == 0:
-            return BoundValue(
-                Fraction(self.m.bit_length() - 1, self.n) - Fraction(1, self.k + 1), True
-            )
-        return _inexact(lambda mp: mp.log(self.m, 2) / self.n - mp.mpf(1) / (self.k + 1))
-
-    def validate(self) -> None:
-        if self.n < 1 or self.k < 1 or self.m < 1 or self.t < 1:
-            raise GensetError("n, k, m, t must all be >= 1")
+    if n < 1 or k < 1 or m < 1:
+        raise GensetError("n, k, m must all be >= 1")
+    if delta is not None:
+        return BoundValue(Fraction(delta), True)
+    if m & (m - 1) == 0:
+        return BoundValue(Fraction(m.bit_length() - 1, n) - Fraction(1, k + 1), True)
+    return _inexact(lambda mp: mp.log(m, 2) / n - mp.mpf(1) / (k + 1))
 
 
-def lemma4_bound(p: BoundParams) -> BoundValue:
+def lemma4_bound(n: int, k: int, m: int, t: int, delta: BoundValue) -> BoundValue:
     """(k+1) 2^{n(1-delta t)} C(m, t)^{k+1} / (k+1)!
 
     Upper bound on the number of complete (k+1)-partite blow-ups with part
-    size t inside the disjointness graph of a family of m sets.
+    size t inside the disjointness graph of a family of m sets, for the delta
+    that resolve_delta gives.
     """
-    p.validate()
-    delta = p.resolved_delta()
+    if n < 1 or k < 1 or m < 1 or t < 1:
+        raise GensetError("n, k, m, t must all be >= 1")
     if delta.value <= 0:
         raise GensetError(f"delta must be positive, got {delta.value}")
-    rest = Fraction((p.k + 1) * comb(p.m, p.t) ** (p.k + 1), factorial(p.k + 1))
+    rest = Fraction((k + 1) * comb(m, t) ** (k + 1), factorial(k + 1))
     if delta.exact:
-        return pow2(p.n * (1 - delta.value * p.t), rest)
+        return pow2(n * (1 - delta.value * t), rest)
     return _inexact(
-        lambda mp: mp.power(2, p.n * (1 - delta.value * p.t))
+        lambda mp: mp.power(2, n * (1 - delta.value * t))
         * mp.mpf(rest.numerator) / rest.denominator
     )
 
@@ -109,20 +97,13 @@ def analytic_union_bound(n: int, k: int, m: int, t: int) -> BoundValue:
     return pow2(n + Fraction(n * t, k + 1), Fraction(1, m**t))
 
 
-class ProbabilityEstimate(NamedTuple):
-    value: Union[Fraction, float]
-    exact: bool
-    trials: Optional[int] = None
-    std_error: Optional[float] = None
-
-
 def small_union_probability(
     fam: SetFamily,
     t: int,
     threshold: int,
     seed: Optional[int] = None,
     trials: Optional[int] = None,
-) -> ProbabilityEstimate:
+) -> Estimate:
     """P(|union of a uniform t-subset of distinct members| <= threshold).
 
     Exact enumeration over all C(m, t) subsets by default; pass seed and
@@ -132,25 +113,23 @@ def small_union_probability(
         raise GensetError(f"need 0 <= t <= m = {fam.m}")
     if not 0 <= threshold <= fam.n:
         raise GensetError(f"threshold must lie in 0..{fam.n}")
-    subsets, total = subset_walk(fam.members, t, trials, seed)
-    hits = 0
-    for combo in subsets:
-        union = 0
-        for g in combo:
-            union |= g
-        if union.bit_count() <= threshold:
-            hits += 1
-    if trials is None:
-        return ProbabilityEstimate(Fraction(hits, total), True)
-    p_hat = hits / trials
-    return ProbabilityEstimate(
-        p_hat, False, trials, sqrt(p_hat * (1 - p_hat) / trials)
-    )
+
+    def count_small(subsets) -> int:
+        hits = 0
+        for combo in subsets:
+            union = 0
+            for g in combo:
+                union |= g
+            if union.bit_count() <= threshold:
+                hits += 1
+        return hits
+
+    return subset_fraction(fam.members, t, count_small, trials, seed)
 
 
 class UnionBoundReport(NamedTuple):
     threshold: int
-    probability: ProbabilityEstimate
+    probability: Estimate
     analytic: BoundValue
     in_regime: bool
     bound_holds: bool
@@ -170,22 +149,24 @@ def union_bound_check(
     parameters are still evaluated, just flagged. A delta derived from m puts m
     exactly at that scale.
     """
-    if k < 1:
-        raise GensetError("need k >= 1")
+    if t < 1:
+        raise GensetError(f"need t >= 1, got {t}")
     n, m = fam.n, fam.m
-    params = BoundParams(n=n, k=k, m=m, t=t, delta=delta)
-    params.validate()
-    d = params.resolved_delta()
+    d = resolve_delta(n, k, m, delta)
     threshold = n // (k + 1)
     prob = small_union_probability(fam, t, threshold, seed=seed, trials=trials)
     analytic = analytic_union_bound(n, k, m, t)
     in_regime = d.value > 0 and (
         delta is None or m >= pow2((Fraction(1, k + 1) + d.value) * n).value
     )
-    if prob.exact and analytic.exact:
+    # No side is rounded to a float: an mpf bound is compared as an mpf.
+    if analytic.exact:
         holds = prob.value <= analytic.value
     else:
-        holds = float(prob.value) <= float(analytic.value)
+        import mpmath
+        q = Fraction(prob.value)
+        with mpmath.workprec(PRECISION_BITS):
+            holds = mpmath.mpf(q.numerator) / q.denominator <= analytic.value
     return UnionBoundReport(threshold, prob, analytic, in_regime, holds)
 
 

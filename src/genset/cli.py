@@ -1,8 +1,9 @@
 """Command-line surface: one subcommand per operation group, NDJSON/CSV output.
 
 Exit status: 0 success, 1 a checked property fails, 2 usage or input error,
-3 a resource cap or budget was exceeded. The graphs and bounds layers are
-imported only inside the handlers that use them.
+3 a cap or budget was exceeded, the printable range included: a value past the
+double range or Python's int-to-str digit limit is refused. The graphs and
+bounds layers are imported only inside the handlers that use them.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -39,19 +41,24 @@ def _fraction(text: str) -> Fraction:
 
 
 def _jsonable(value):
+    """A Fraction as its rational and its float; one too large to print is refused (exit 3)."""
     if isinstance(value, Fraction):
-        return {"rational": f"{value.numerator}/{value.denominator}", "approx": float(value)}
+        try:
+            return {"rational": f"{value.numerator}/{value.denominator}", "approx": float(value)}
+        except (OverflowError, ValueError):  # past the double range, or the int-to-str digit limit
+            raise CapExceeded("value too large to print") from None
     return value
 
 
 def _bound_json(bound) -> dict:
     """A bounds.BoundValue: its rational when exact, else its float and precision."""
     from .bounds import PRECISION_BITS
-    out = _jsonable(bound.value) if bound.exact else {"approx": float(bound.value)}
-    out["exact"] = bound.exact
-    if not bound.exact:
-        out["precision_bits"] = PRECISION_BITS
-    return out
+    if bound.exact:
+        return {**_jsonable(bound.value), "exact": True}
+    approx = float(bound.value)  # an mpf past the double range rounds to inf
+    if math.isinf(approx):
+        raise CapExceeded("value too large to print")
+    return {"approx": approx, "exact": False, "precision_bits": PRECISION_BITS}
 
 
 def _emit(record: dict) -> None:
@@ -194,14 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args) -> None:
-    if not args.config:
-        return
-    with open(args.config) as fh:
-        for lineno, line in fam_mod._content_lines(fh.read()):
-            setattr(args, *fam_mod._key_value(lineno, line, {
-                "dp_cap": int, "graph_cap": int, "node_budget": int, "time_budget": float,
-            }))
+def _read_config(path: str) -> dict:
+    types = {"dp_cap": int, "graph_cap": int, "node_budget": int, "time_budget": float}
+    with open(path) as fh:
+        return dict(
+            fam_mod._key_value(lineno, line, types)
+            for lineno, line in fam_mod._content_lines(fh.read())
+        )
 
 
 def _cmd_construct(args) -> int:
@@ -363,11 +369,11 @@ def _cmd_bounds(args) -> int:
         return EXIT_OK
     from . import bounds as bounds_mod
     if args.action == "lemma4":
-        params = bounds_mod.BoundParams(n=args.n, k=args.k, m=args.m, t=args.t, delta=args.delta)
-        value = bounds_mod.lemma4_bound(params)
+        delta = bounds_mod.resolve_delta(args.n, args.k, args.m, args.delta)
+        value = bounds_mod.lemma4_bound(args.n, args.k, args.m, args.t, delta)
         _emit({
             "n": args.n, "k": args.k, "m": args.m, "t": args.t,
-            "delta": _bound_json(params.resolved_delta()),
+            "delta": _bound_json(delta),
             "bound": _bound_json(value),
         })
         return EXIT_OK
@@ -381,7 +387,7 @@ def _cmd_bounds(args) -> int:
             "n": fam.n, "k": args.k, "m": fam.m, "t": args.t,
             "threshold": report.threshold,
             "probability": _jsonable(prob.value) if prob.exact else {
-                "approx": prob.value, "trials": prob.trials, "std_error": prob.std_error,
+                "approx": prob.value, "trials": prob.total, "std_error": prob.std_error,
             },
             "analytic_bound": _bound_json(report.analytic),
             "in_regime": report.in_regime,
@@ -421,7 +427,7 @@ def _cmd_experiment(args) -> int:
         _emit({
             "l": args.l, "r": args.r,
             "threshold": _jsonable(args.threshold),
-            "fraction": _jsonable(result.fraction) if result.exact else result.fraction,
+            "fraction": _jsonable(result.value),
             "exact": result.exact,
             "subsets": result.total,
         })
@@ -431,11 +437,10 @@ def _cmd_experiment(args) -> int:
     est = bounds_mod.small_union_probability(
         fam, args.t, args.threshold, seed=args.seed, trials=args.sample
     )
-    record = {"t": args.t, "threshold": args.threshold, "exact": est.exact}
-    if est.exact:
-        record["probability"] = _jsonable(est.value)
-    else:
-        record.update({"probability": est.value, "trials": est.trials, "std_error": est.std_error})
+    record = {"t": args.t, "threshold": args.threshold, "exact": est.exact,
+              "probability": _jsonable(est.value)}
+    if not est.exact:
+        record.update({"trials": est.total, "std_error": est.std_error})
     _emit(record)
     return EXIT_OK
 
@@ -456,7 +461,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            # The config replaces the parser's defaults, so a flag still beats it.
+            parser.set_defaults(**_read_config(args.config))
+            args = parser.parse_args(argv)
         if not args.no_meta:
             _emit({"meta": {"tool": "genset", "version": __version__, "timestamp": time.time()}})
         return _COMMANDS[args.command](args)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 from typing import NamedTuple, Optional
 
 from .errors import CapExceeded, FamilyFormatError, GensetError, WorkLimitExceeded
@@ -322,12 +322,24 @@ def erdos_max_check(l: int, s: int, r: int) -> ErdosMaxReport:
     )
 
 
-def subset_walk(pool, size: int, trials: Optional[int] = None, seed: Optional[int] = None):
-    """(subsets, total): the size-subsets of pool to walk, and how many there are.
+class Estimate(NamedTuple):
+    """A fraction of subsets: exact over all of them, or from a seeded sample."""
 
-    Exact mode (no trials) yields every C(len(pool), size) subset in
+    value: Fraction | float
+    exact: bool
+    total: int  # subsets examined: C(len(pool), size), or the sample size
+    std_error: Optional[float] = None  # of a sampled value
+
+
+def subset_fraction(
+    pool, size: int, count_hits, trials: Optional[int] = None, seed: Optional[int] = None
+) -> Estimate:
+    """count_hits(subsets) over the number of size-subsets of pool it was given.
+
+    Exact mode (no trials) passes every C(len(pool), size) subset in
     itertools.combinations order, refusing more than EXACT_BUDGET; sampling
-    mode yields trials draws of Random(seed).sample(pool, size).
+    mode passes trials draws of Random(seed).sample(pool, size) and reports
+    the binomial standard error.
     """
     if trials is None:
         total = comb(len(pool), size)
@@ -335,19 +347,14 @@ def subset_walk(pool, size: int, trials: Optional[int] = None, seed: Optional[in
             raise CapExceeded(
                 f"C({len(pool)},{size}) = {total} exceeds exact budget {EXACT_BUDGET}; use sampling"
             )
-        return itertools.combinations(pool, size), total
+        return Estimate(Fraction(count_hits(itertools.combinations(pool, size)), total), True, total)
     if trials < 1:
         raise GensetError(f"trials must be >= 1, got {trials}")
     if seed is None:
         raise GensetError("sampling mode requires a seed")
     rng = random.Random(seed)
-    return (rng.sample(pool, size) for _ in range(trials)), trials
-
-
-class DenseSubsetResult(NamedTuple):
-    fraction: Fraction | float
-    exact: bool
-    total: int  # subsets examined (C(m, l) or sample size)
+    p_hat = count_hits(rng.sample(pool, size) for _ in range(trials)) / trials
+    return Estimate(p_hat, False, trials, sqrt(p_hat * (1 - p_hat) / trials))
 
 
 def dense_subset_fraction(
@@ -357,7 +364,7 @@ def dense_subset_fraction(
     threshold: Fraction,
     sample: Optional[int] = None,
     seed: Optional[int] = None,
-) -> DenseSubsetResult:
+) -> Estimate:
     """Fraction of l-vertex subsets whose induced r-clique density reaches the threshold.
 
     Exact mode enumerates all C(m, l) subsets (at most EXACT_BUDGET);
@@ -368,16 +375,17 @@ def dense_subset_fraction(
         raise GensetError(f"l={l} exceeds vertex count {m}")
     if l < r:
         raise GensetError(f"need l >= r, got l={l}, r={r}")
+    if r < 1:
+        raise GensetError("r must be >= 1")
+    r_sets = comb(l, r)
 
     def is_dense(verts) -> bool:
         within = sum(1 << v for v in verts)
-        return Fraction(count_cliques(graph, r, within=within), comb(l, r)) >= threshold
+        return Fraction(count_cliques(graph, r, within=within), r_sets) >= threshold
 
-    subsets, total = subset_walk(range(m), l, sample, seed)
-    dense = sum(1 for verts in subsets if is_dense(verts))
-    if sample is None:
-        return DenseSubsetResult(Fraction(dense, total), True, total)
-    return DenseSubsetResult(dense / sample, False, sample)
+    return subset_fraction(
+        range(m), l, lambda subsets: sum(1 for verts in subsets if is_dense(verts)), sample, seed
+    )
 
 
 def format_graph(graph: Graph) -> str:

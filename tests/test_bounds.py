@@ -6,7 +6,6 @@ import mpmath
 import pytest
 
 from genset import (
-    BoundParams,
     CapExceeded,
     GensetError,
     analytic_union_bound,
@@ -17,6 +16,7 @@ from genset import (
     count_disjoint_tuples,
     lemma4_bound,
     make_family,
+    resolve_delta,
     small_union_probability,
     trivial_lower_bound,
     union_bound_check,
@@ -30,6 +30,10 @@ def assert_at_precision(bound, reference):
     assert not bound.exact and PRECISION_BITS == 113
     with mpmath.workprec(200):
         assert abs(bound.value / reference(mpmath) - 1) < mpmath.mpf(2) ** -100
+
+
+def lemma4(n, k, m, t):
+    return lemma4_bound(n, k, m, t, resolve_delta(n, k, m))
 
 
 def family_of_size_32_on_9():
@@ -59,40 +63,42 @@ class TestPow2:
 class TestLemma4Bound:
     def test_reference_values(self):
         # n(1 - delta t) = 10 (1 - 1/2) = 5, so the bound is 3 * 32 * C(32,3)^3 / 6.
-        value = lemma4_bound(BoundParams(n=10, k=2, m=32, t=3))
+        value = lemma4(10, 2, 32, 3)
         assert value.exact
         assert value.value == 16 * comb(32, 3) ** 3 == 1_952_382_976_000
 
     def test_exponent_collapse_when_delta_t_is_one(self):
-        p = BoundParams(n=12, k=2, m=2**5, t=12)  # delta = 5/12 - 1/3 = 1/12, so delta*t = 1
-        value = lemma4_bound(p)
+        value = lemma4(12, 2, 2**5, 12)  # delta = 5/12 - 1/3 = 1/12, so delta*t = 1
         assert value.exact
-        assert value.value == Fraction(3 * comb(p.m, p.t) ** 3, 6)  # 2^0 factor
+        assert value.value == Fraction(3 * comb(32, 12) ** 3, 6)  # 2^0 factor
 
     def test_k1_instantiation(self):
         # k=1, t=1: bound is 2 * 2^{n(1-delta)} * m^2 / 2.
-        p = BoundParams(n=8, k=1, m=32, t=1)  # delta = 5/8 - 1/2 = 1/8
-        value = lemma4_bound(p)
+        value = lemma4(8, 1, 32, 1)  # delta = 5/8 - 1/2 = 1/8
         assert value.value == Fraction(2**7 * 32**2)
 
     def test_consistency_with_analytic_factor(self):
-        p = BoundParams(n=10, k=2, m=32, t=3)
-        delta = p.resolved_delta().value
-        factor = pow2(p.n * (1 - delta * p.t)).value
-        expected = Fraction((p.k + 1) * comb(p.m, p.t) ** (p.k + 1), 6) * factor
-        assert lemma4_bound(p).value == expected
+        n, k, m, t = 10, 2, 32, 3
+        delta = resolve_delta(n, k, m)
+        factor = pow2(n * (1 - delta.value * t)).value
+        expected = Fraction((k + 1) * comb(m, t) ** (k + 1), 6) * factor
+        assert lemma4_bound(n, k, m, t, delta).value == expected
 
     def test_inexact_delta_is_evaluated_at_reported_precision(self):
         # 3 2^{10(1 - 3 delta)} C(33, 3)^3 / 3! with delta = log2(33)/10 - 1/3.
         assert_at_precision(
-            lemma4_bound(BoundParams(n=10, k=2, m=33, t=3)),
+            lemma4(10, 2, 33, 3),
             lambda mp: 3 * mp.power(2, 10 * (1 - 3 * (mp.log(33, 2) / 10 - mp.mpf(1) / 3)))
             * comb(33, 3) ** 3 / 6,
         )
 
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(GensetError):
-            lemma4_bound(BoundParams(n=9, k=2, m=8, t=2))  # delta = 0
+            lemma4(9, 2, 8, 2)  # delta = 0
+
+    def test_t_zero_rejected(self):
+        with pytest.raises(GensetError):
+            lemma4(10, 2, 32, 0)
 
 
 class TestAnalyticUnionBound:
@@ -150,7 +156,7 @@ class TestSmallUnionProbability:
         fam = canonical_generator(4, 2)
         a = small_union_probability(fam, 2, 2, seed=20240817, trials=100_000)
         b = small_union_probability(fam, 2, 2, seed=20240817, trials=100_000)
-        assert a.value == b.value and a.trials == 100_000
+        assert a.value == b.value and a.total == 100_000
         assert abs(a.value - 2 / 3) <= 3 * a.std_error
 
     def test_seed_required_for_sampling(self):
@@ -196,6 +202,21 @@ class TestUnionBoundCheck:
         with pytest.raises(GensetError):
             union_bound_check(canonical_generator(4, 2), 0, t=1)
 
+    @pytest.mark.parametrize("trials,seed", [(None, None), (10, 1)])
+    def test_bound_beyond_the_double_range(self, trials, seed):
+        # 2^62 (2^31 / 40)^40 is about 2^1089, which no float holds.
+        fam = make_family(62, [1 << i for i in range(40)])
+        report = union_bound_check(fam, 1, t=40, seed=seed, trials=trials)
+        assert report.analytic.exact and report.analytic.value > 2**1088
+        assert report.probability.value == 0 and report.bound_holds
+
+    @pytest.mark.parametrize("trials,seed", [(None, None), (300, 4)])
+    def test_inexact_bound_compared_as_mpf(self, trials, seed):
+        # n t / (k + 1) = 20/3 is no integer, so the bound (about 26.5) is an mpf.
+        report = union_bound_check(canonical_generator(10, 2), 2, t=2, seed=seed, trials=trials)
+        assert not report.analytic.exact and report.probability.exact == (trials is None)
+        assert report.bound_holds
+
 
 class TestCoverageInequality:
     def test_canonical_3_2(self):
@@ -237,19 +258,26 @@ class TestBoundTable:
         assert [(r.n, r.k) for r in rows] == [(2, 1), (2, 2)]
 
 
-class TestBoundParams:
+class TestResolveDelta:
     def test_delta_derived_exactly_for_power_of_two(self):
-        d = BoundParams(n=10, k=2, m=32, t=3).resolved_delta()
+        d = resolve_delta(10, 2, 32)
         assert d.exact and d.value == Fraction(1, 6)
 
     def test_delta_inexact_otherwise(self):
-        d = BoundParams(n=10, k=2, m=33, t=3).resolved_delta()
+        d = resolve_delta(10, 2, 33)
         assert_at_precision(d, lambda mp: mp.log(33, 2) / 10 - mp.mpf(1) / 3)
 
     def test_explicit_delta_wins(self):
-        d = BoundParams(n=10, k=2, m=33, t=3, delta=Fraction(1, 7)).resolved_delta()
+        d = resolve_delta(10, 2, 33, Fraction(1, 7))
         assert d.exact and d.value == Fraction(1, 7)
 
     def test_validation(self):
-        with pytest.raises(GensetError):
-            BoundParams(n=10, k=2, m=32, t=0).validate()
+        for n, k, m in ((0, 2, 32), (10, 0, 32), (10, 2, -1)):
+            with pytest.raises(GensetError):
+                resolve_delta(n, k, m)
+
+    def test_m_zero_rejected(self):
+        # 0 & (0 - 1) == 0, so m = 0 would pass the power-of-two test.
+        for delta in (None, Fraction(1, 4)):
+            with pytest.raises(GensetError):
+                resolve_delta(10, 2, 0, delta)

@@ -89,6 +89,9 @@ class TestExitCodes:
                                           "--sample", "-3", "--seed", "1")),
             ({"g": "vertices=4\n0 1\n"}, ("experiment", "dense-subset", "--graph", "{g}",
                                           "-l", "2", "-r", "2", "--threshold", "1/0")),
+            ({"g": "vertices=4\n0 1\n"}, ("experiment", "dense-subset", "--graph", "{g}",
+                                          "-l", "-1", "-r", "-1", "--threshold", "1/2",
+                                          "--sample", "5", "--seed", "1")),
             ({}, ("experiment", "union-prob", "--family", "{fam}", "-t", "2",
                   "--threshold", "2", "--sample", "0", "--seed", "1")),
             ({}, ("experiment", "union-prob", "--family", "{fam}", "-t", "2",
@@ -111,6 +114,7 @@ class TestExitCodes:
              "decompose-token", "decompose-range", "decompose-descending",
              "decompose-repeated", "family-bytes",
              "dense-sample-zero", "dense-sample-negative", "dense-threshold-zero-denominator",
+             "dense-negative-r",
              "union-prob-sample-zero", "union-prob-sample-negative",
              "union-check-trials-zero", "union-check-trials-negative",
              "union-check-delta-zero-denominator", "lemma4-delta-zero-denominator",
@@ -379,6 +383,37 @@ class TestBoundsCommands:
                 in proc.stdout)
 
 
+class TestValuesTooLargeToPrint:
+    """A value past the double range or the int-to-str digit limit exits 3, unprinted."""
+
+    @pytest.fixture
+    def fam40(self, tmp_path):
+        # 40 singletons over [62]: with k = 1, t = 40 the union bound is about 2^1089.
+        path = tmp_path / "fam40.txt"
+        path.write_text(format_family(families.make_family(62, [1 << i for i in range(40)])))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bounds", "lemma4", "-n", "2000", "-k", "1", "-m", "2", "-t", "1", "--delta", "1/4"),
+            ("bounds", "lemma4", "-n", "20", "-k", "2", "-m", "2000", "-t", "400"),
+            ("bounds", "union-check", "--family", "FAM", "-k", "1", "-t", "40"),
+            ("bounds", "union-check", "--family", "FAM", "-k", "1", "-t", "40",
+             "--trials", "10", "--seed", "1"),
+            # 2^15000 has 4516 digits; 3000!/3000^3000 is a float (0.0) but has more.
+            ("bounds", "lemma4", "-n", "20000", "-k", "1", "-m", "2", "-t", "1", "--delta", "1/4"),
+            ("turan", "eta", "-r", "3000", "-s", "3000"),
+        ],
+        ids=["lemma4-exact", "lemma4-inexact", "union-check-exact", "union-check-sampled",
+             "lemma4-digits", "eta-digits"],
+    )
+    def test_refused_with_nothing_on_stdout(self, capsys, fam40, args):
+        status = cli.main(["--no-meta", *(fam40 if a == "FAM" else a for a in args)])
+        out, err = capsys.readouterr()
+        assert (status, out) == (3, "") and err.startswith("genset: budget exceeded: ")
+
+
 class TestExperiment:
     def test_union_prob_exact(self, fam42):
         proc = run_cli(
@@ -461,6 +496,14 @@ class TestDeterminismAndConfig:
         cfg.write_text("graph-cap=2\n")
         proc = run_cli("--no-meta", "--config", str(cfg), "graph", "--family", fam42)
         assert proc.returncode == 3
+
+    def test_flag_beats_config(self, tmp_path, fam42):
+        cfg = tmp_path / "caps.cfg"
+        cfg.write_text("graph_cap=100\n")
+        cap, config = ["--graph-cap", "2"], ["--config", str(cfg)]
+        for flags in (cap + config, config + cap):
+            proc = run_cli("--no-meta", *flags, "graph", "--family", fam42)
+            assert (proc.returncode, proc.stdout) == (3, ""), flags
 
     def test_unknown_config_key_rejected(self, tmp_path, fam42):
         cfg = tmp_path / "caps.cfg"

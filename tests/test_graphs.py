@@ -405,12 +405,12 @@ class TestDenseSubsetFraction:
     def test_complete_graph_fraction_one(self):
         k6 = graph_from_edges(6, itertools.combinations(range(6), 2))
         res = dense_subset_fraction(k6, 4, 2, Fraction(1))
-        assert res.exact and res.fraction == 1
+        assert res.exact and res.value == 1
 
     def test_edgeless_graph_fraction_zero(self):
         g = Graph((0,) * 6)
         res = dense_subset_fraction(g, 4, 2, Fraction(1, 100))
-        assert res.exact and res.fraction == 0
+        assert res.exact and res.value == 0
 
     def test_exact_mode_counts_match_direct_enumeration(self):
         g = random_graph(9, 0.6, seed=3)
@@ -423,7 +423,7 @@ class TestDenseSubsetFraction:
             )
             if Fraction(edges, comb(5, 2)) >= threshold:
                 direct += 1
-        assert res.total == comb(9, 5) and res.fraction == Fraction(direct, res.total)
+        assert res.total == comb(9, 5) and res.value == Fraction(direct, res.total)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_double_counting_inequality(self, seed):
@@ -437,13 +437,13 @@ class TestDenseSubsetFraction:
             pytest.skip("sampled graph not dense enough for the hypothesis")
         eps = density - eta
         res = dense_subset_fraction(g, 6, r, eta + eps / 2)
-        assert res.fraction >= eps / 2
+        assert res.value >= eps / 2
 
     def test_sampling_reproducible(self):
         g = random_graph(12, 0.5, seed=11)
         a = dense_subset_fraction(g, 5, 2, Fraction(1, 2), sample=500, seed=99)
         b = dense_subset_fraction(g, 5, 2, Fraction(1, 2), sample=500, seed=99)
-        assert a.fraction == b.fraction and not a.exact
+        assert a.value == b.value and a.total == 500 and not a.exact
 
     def test_sampling_requires_seed(self):
         g = random_graph(8, 0.5, seed=0)

@@ -34,15 +34,14 @@ PUBLIC = {
     ],
     "search": ["SearchReport", "min_generator_size", "verify_conjecture_range"],
     "graphs": [
-        "DenseSubsetResult", "ErdosMaxReport", "Graph", "clique_density", "count_cliques",
+        "ErdosMaxReport", "Estimate", "Graph", "clique_density", "count_cliques",
         "count_disjoint_tuples", "dense_subset_fraction", "disjointness_graph",
         "erdos_max_check", "find_blowup", "format_graph", "graph_from_edges", "parse_graph",
         "turan_blowup_graph", "turan_clique_closed_form", "turan_eta",
     ],
     "bounds": [
-        "BoundParams", "BoundValue", "analytic_union_bound", "bound_table",
-        "coverage_inequality_check", "lemma4_bound", "small_union_probability",
-        "union_bound_check",
+        "BoundValue", "analytic_union_bound", "bound_table", "coverage_inequality_check",
+        "lemma4_bound", "resolve_delta", "small_union_probability", "union_bound_check",
     ],
 }
 
@@ -110,6 +109,26 @@ class TestStartupLoadsOnlyWhatRuns:
         assert status == 0 and json.loads(lines[0])["k3_count"] == 6
         assert "genset.graphs" in modules
         assert not modules & (RECORD_MODULES | {"genset.bounds", "mpmath"})
+
+    def test_dense_subset_leaves_out_bounds(self, tmp_path):
+        path = tmp_path / "triangle.txt"
+        path.write_text("vertices=4\n0 1\n0 2\n1 2\n")
+        status, lines, modules = loaded_after(
+            ["--no-meta", "experiment", "dense-subset", "--graph", str(path),
+             "-l", "3", "-r", "2", "--threshold", "1"]
+        )
+        assert status == 0 and json.loads(lines[0])["fraction"]["rational"] == "1/4"
+        assert "genset.graphs" in modules
+        assert not modules & (RECORD_MODULES | {"genset.bounds", "mpmath"})
+
+    def test_exact_union_prob_leaves_out_mpmath(self, fam42):
+        status, lines, modules = loaded_after(
+            ["--no-meta", "experiment", "union-prob", "--family", fam42, "-t", "2",
+             "--threshold", "2"]
+        )
+        assert status == 0 and json.loads(lines[0])["probability"]["rational"] == "2/3"
+        assert {"genset.graphs", "genset.bounds"} <= modules
+        assert not modules & (RECORD_MODULES | {"mpmath"})
 
     def test_exact_bound_leaves_out_mpmath(self):
         status, lines, modules = loaded_after(
