@@ -11,11 +11,12 @@ a power of two), so exact bounds never load it.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
-from .errors import GensetError
+from .errors import CapExceeded, GensetError
 from .families import (
     SetFamily,
     canonical_size,
@@ -75,15 +76,26 @@ def lemma4_bound(n: int, k: int, m: int, t: int, delta: BoundValue) -> BoundValu
 
     Upper bound on the number of complete (k+1)-partite blow-ups with part
     size t inside the disjointness graph of a family of m sets, for the delta
-    that resolve_delta gives.
+    that resolve_delta gives. A bound too long to print is refused before it is built.
     """
     if n < 1 or k < 1 or m < 1 or t < 1:
         raise GensetError("n, k, m, t must all be >= 1")
     if delta.value <= 0:
         raise GensetError(f"delta must be positive, got {delta.value}")
-    rest = Fraction((k + 1) * comb(m, t) ** (k + 1), factorial(k + 1))
+    c = comb(m, t)
+    exponent = n * (1 - delta.value * t)
+    # The bound is 2^exponent c^{k+1} / k!, and (k/4)^k <= k! <= k^k bounds its
+    # log2 by low and high. Past 2^(+-bits) > 10^(+-digits) the numerator or the
+    # denominator of an exact bound is too long to print; an inexact one prints
+    # as a float, so only a large one counts.
+    bits = sys.get_int_max_str_digits() * 10 // 3 or inf
+    low = exponent + (k + 1) * (c.bit_length() - 1) - k * k.bit_length()
+    high = exponent + (k + 1) * c.bit_length() - k * (k.bit_length() - 3)
+    if c and (low > bits or delta.exact and exponent.denominator == 1 and high < -bits):
+        raise CapExceeded("value too large to print")
+    rest = Fraction((k + 1) * c ** (k + 1), factorial(k + 1))
     if delta.exact:
-        return pow2(n * (1 - delta.value * t), rest)
+        return pow2(exponent, rest)
     return _inexact(
         lambda mp: mp.power(2, n * (1 - delta.value * t))
         * mp.mpf(rest.numerator) / rest.denominator
@@ -156,8 +168,11 @@ def union_bound_check(
     threshold = n // (k + 1)
     prob = small_union_probability(fam, t, threshold, seed=seed, trials=trials)
     analytic = analytic_union_bound(n, k, m, t)
+    # m < 2^b for b = m.bit_length(), so an exponent of b or more is out of
+    # regime, and 2^exponent is built only below 2^b.
+    exponent = (Fraction(1, k + 1) + d.value) * n
     in_regime = d.value > 0 and (
-        delta is None or m >= pow2((Fraction(1, k + 1) + d.value) * n).value
+        delta is None or exponent < m.bit_length() and m >= pow2(exponent).value
     )
     # No side is rounded to a float: an mpf bound is compared as an mpf.
     if analytic.exact:

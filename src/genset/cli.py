@@ -2,8 +2,8 @@
 
 Exit status: 0 success, 1 a checked property fails, 2 usage or input error,
 3 a cap or budget was exceeded, the printable range included: a value past the
-double range or Python's int-to-str digit limit is refused. The graphs and
-bounds layers are imported only inside the handlers that use them.
+double range or Python's int-to-str digit limit is refused. Each handler
+imports the layers it runs, so a subcommand loads no other layer.
 """
 
 from __future__ import annotations
@@ -12,16 +12,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, errors
 from .errors import CapExceeded, FamilyFormatError, GensetError
 from . import families as fam_mod
-from . import generate as gen_mod
-from . import search as search_mod
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAIL = 1
@@ -55,14 +52,16 @@ def _bound_json(bound) -> dict:
     from .bounds import PRECISION_BITS
     if bound.exact:
         return {**_jsonable(bound.value), "exact": True}
-    approx = float(bound.value)  # an mpf past the double range rounds to inf
-    if math.isinf(approx):
-        raise CapExceeded("value too large to print")
-    return {"approx": approx, "exact": False, "precision_bits": PRECISION_BITS}
+    # An mpf past the double range rounds to inf, which _emit refuses.
+    return {"approx": float(bound.value), "exact": False, "precision_bits": PRECISION_BITS}
 
 
 def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+    try:
+        line = json.dumps(record, sort_keys=True, allow_nan=False)
+    except ValueError:  # an int past the int-to-str digit limit, or an infinite float
+        raise CapExceeded("value too large to print") from None
+    print(line)
 
 
 def _read_family(path: str) -> fam_mod.SetFamily:
@@ -70,16 +69,10 @@ def _read_family(path: str) -> fam_mod.SetFamily:
         return fam_mod.parse_family(fh.read())
 
 
-def _graphs(args):
-    """The graphs layer, imported on first use; --graph-cap defaults to its cap."""
-    from . import graphs
-    args.graph_cap = graphs.DEFAULT_GRAPH_CAP if args.graph_cap is None else args.graph_cap
-    return graphs
-
-
 def _read_graph(args):
+    from . import graphs
     with open(args.graph) as fh:
-        return _graphs(args).parse_graph(fh.read(), graph_cap=args.graph_cap)
+        return graphs.parse_graph(fh.read(), graph_cap=args.graph_cap)
 
 
 def _write_graph(graph_mod, g, path, record: dict) -> None:
@@ -97,12 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--no-meta", action="store_true", help="omit the timestamped meta record")
     parser.add_argument("--config", help="key=value file overriding cap defaults")
-    parser.add_argument("--dp-cap", type=int, default=gen_mod.DEFAULT_DP_CAP,
+    parser.add_argument("--dp-cap", type=int, default=errors.DEFAULT_DP_CAP,
                         help="max n for the 2^n union table (k-generator and k-base checks)")
-    parser.add_argument("--graph-cap", type=int,
+    parser.add_argument("--graph-cap", type=int, default=errors.DEFAULT_GRAPH_CAP,
                         help="max vertices for graph construction")
-    parser.add_argument("--node-budget", type=int, default=search_mod.DEFAULT_NODE_BUDGET)
-    parser.add_argument("--time-budget", type=float, default=search_mod.DEFAULT_TIME_BUDGET)
+    parser.add_argument("--node-budget", type=int, default=errors.DEFAULT_NODE_BUDGET)
+    parser.add_argument("--time-budget", type=float, default=errors.DEFAULT_TIME_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="canonical generator as a family file")
@@ -227,6 +220,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import generate as gen_mod
     fam = _read_family(args.family)
     target = None if args.decompose is None else fam_mod._parse_set(args.decompose, fam.n)
     status = EXIT_OK
@@ -281,6 +275,7 @@ def _sweep_csv(reports, timed: bool) -> str:
 
 
 def _cmd_search_min(args) -> int:
+    from . import search as search_mod
     if args.sweep:
         if args.n_max is None or args.k_max is None:
             raise GensetError("--sweep requires --n-max and --k-max")
@@ -308,7 +303,7 @@ def _cmd_search_min(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    graph_mod = _graphs(args)
+    from . import graphs as graph_mod
     if args.family:
         fam = _read_family(args.family)
         g = graph_mod.disjointness_graph(fam, graph_cap=args.graph_cap)
@@ -327,7 +322,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_turan(args) -> int:
-    graph_mod = _graphs(args)
+    from . import graphs as graph_mod
     if args.action == "eta":
         _emit({"eta": _jsonable(graph_mod.turan_eta(args.r, args.s)), "r": args.r, "s": args.s})
         return EXIT_OK
@@ -354,8 +349,9 @@ def _cmd_turan(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
+    from . import graphs
     g = _read_graph(args)
-    classes = _graphs(args).find_blowup(g, args.a, args.t)
+    classes = graphs.find_blowup(g, args.a, args.t)
     record = {"a": args.a, "t": args.t, "found": classes is not None}
     if classes is not None:
         record["classes"] = [list(c) for c in classes]
@@ -395,9 +391,9 @@ def _cmd_bounds(args) -> int:
         })
         return EXIT_OK if report.bound_holds or not report.in_regime else EXIT_PROPERTY_FAIL
     if args.action == "coverage":
+        from . import generate as gen_mod
         fam = _read_family(args.family)
         verdict = gen_mod.is_k_generator(fam, args.k, dp_cap=args.dp_cap)
-        _graphs(args)  # fills in --graph-cap
         report = bounds_mod.coverage_inequality_check(fam, args.k, graph_cap=args.graph_cap)
         _emit({
             "k": args.k, "tuples": report.tuples, "two_to_n": report.two_to_n,
@@ -420,8 +416,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.action == "dense-subset":
+        from . import graphs
         g = _read_graph(args)
-        result = _graphs(args).dense_subset_fraction(
+        result = graphs.dense_subset_fraction(
             g, args.l, args.r, args.threshold, sample=args.sample, seed=args.seed
         )
         _emit({

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the defaults of the caps a user can set."""
+
+# Tables of 2^n bits per layer; 28 -> 32 MiB per layer.
+DEFAULT_DP_CAP = 28
+DEFAULT_GRAPH_CAP = 1 << 16
+DEFAULT_NODE_BUDGET = 10**9
+DEFAULT_TIME_BUDGET = 600.0
 
 
 class GensetError(Exception):

@@ -31,11 +31,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .errors import CapExceeded, GensetError
+from .errors import DEFAULT_DP_CAP, CapExceeded, GensetError
 from .families import SetFamily, SubsetMask, _bits, _submasks, check_mask
 
-# Tables of 2^n bits per layer; 28 -> 32 MiB per layer.
-DEFAULT_DP_CAP = 28
 # Chunks of 2^13 bits (1 KiB). reachable_layers takes w >= 3, a chunk of whole
 # bytes, so that the join is a to_bytes/from_bytes copy.
 CHUNK_BITS = 13

@@ -9,12 +9,13 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb, sqrt
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import CapExceeded, FamilyFormatError, GensetError, WorkLimitExceeded
+from .errors import (
+    DEFAULT_GRAPH_CAP, CapExceeded, FamilyFormatError, GensetError, WorkLimitExceeded,
+)
 from .families import SetFamily, _bits, _content_lines, _key_value
 
-DEFAULT_GRAPH_CAP = 1 << 16
 DEFAULT_BLOWUP_CAP = 64
 DEFAULT_CLIQUE_WORK_LIMIT = 200_000_000
 # Most subsets an exact-mode subset walk enumerates.
@@ -68,9 +69,9 @@ def disjointness_graph(fam: SetFamily, graph_cap: int = DEFAULT_GRAPH_CAP) -> Gr
 
 
 def _clique_profile(
-    graph: Graph, r: int, work_limit: int, within: Optional[int] = None
+    rows: Sequence[int], r: int, work_limit: int, within: Optional[int] = None
 ) -> list[int]:
-    """[1, m, K_2 count, ..., K_r count] from one walk down the vertex labels.
+    """[1, m, K_2 count, ..., K_r count] of the graph with these bit rows, from one walk.
 
     Only the vertices in the mask within (all of them by default) are counted,
     m among them: the walk starts from within.
@@ -87,11 +88,10 @@ def _clique_profile(
     """
     if within is None:
         if r <= 2:
-            return [1, graph.m, graph.edge_count()][: r + 1]
-        within = (1 << graph.m) - 1
+            return [1, len(rows), Graph(rows).edge_count()][: r + 1]
+        within = (1 << len(rows)) - 1
     elif r <= 1:
         return [1, within.bit_count()][: r + 1]
-    rows = graph.rows
     deepest = (work_limit + 1).bit_length() - 1  # largest c with 2^c - 1 <= work_limit
     profile = [1, within.bit_count()] + [0] * (r - 1)
     work = 0
@@ -134,7 +134,7 @@ def count_cliques(graph: Graph, r: int, within: Optional[int] = None) -> int:
         raise GensetError("r must be >= 1")
     if r > (graph.m if within is None else within.bit_count()):
         return 0
-    return _clique_profile(graph, r, DEFAULT_CLIQUE_WORK_LIMIT, within)[r]
+    return _clique_profile(graph.rows, r, DEFAULT_CLIQUE_WORK_LIMIT, within)[r]
 
 
 def count_disjoint_tuples(fam: SetFamily, k: int, graph_cap: int = DEFAULT_GRAPH_CAP) -> int:
@@ -154,7 +154,7 @@ def count_disjoint_tuples(fam: SetFamily, k: int, graph_cap: int = DEFAULT_GRAPH
     limit = DEFAULT_CLIQUE_WORK_LIMIT
     if pairs > limit:
         raise WorkLimitExceeded(f"{pairs} pair tests exceed work limit {limit}")
-    return sum(_clique_profile(disjointness_graph(fam, graph_cap), min(k, m), limit - pairs))
+    return sum(_clique_profile(disjointness_graph(fam, graph_cap).rows, min(k, m), limit - pairs))
 
 
 def clique_density(graph: Graph, r: int, count: Optional[int] = None) -> Fraction:
@@ -271,31 +271,13 @@ def erdos_max_check(l: int, s: int, r: int) -> ErdosMaxReport:
     rows = [0] * l
     best = {"count": -1, "rows": tuple(rows), "leaves": 0}
 
-    def creates_forbidden(u: int, v: int) -> bool:
-        # Would edge (u, v) complete a K_{s+1}? Equivalent to a K_{s-1} inside
-        # the common neighborhood of u and v.
-        common = rows[u] & rows[v]
-        if s == 1:
-            return True
-        if s == 2:
-            return common != 0
-        if s == 3:
-            return any(rows[w] & common for w in _bits(common))
-        # Most calls end here, before a Graph is built for the walk.
-        if common.bit_count() < s - 1:
-            return False
-        return count_cliques(Graph(tuple(rows)), s - 1, within=common) > 0
-
-    def new_r_cliques(u: int, v: int) -> int:
-        # r-cliques created by edge (u, v): (r-2)-cliques in N(u) & N(v); none for r = 1.
-        if r <= 2:
-            return r - 1
-        common = rows[u] & rows[v]
-        if r == 3:
-            return common.bit_count()
-        if common.bit_count() < r - 2:
+    def cliques_within(common: int, j: int) -> int:
+        # j-cliques among the vertices of common; most calls end at a popcount.
+        if j <= 1:
+            return common.bit_count() if j else 1
+        if common.bit_count() < j:
             return 0
-        return count_cliques(Graph(tuple(rows)), r - 2, within=common)
+        return _clique_profile(rows, j, DEFAULT_CLIQUE_WORK_LIMIT, common)[j]
 
     def walk(idx: int, count: int):
         if idx == len(pairs):
@@ -305,8 +287,11 @@ def erdos_max_check(l: int, s: int, r: int) -> ErdosMaxReport:
                 best["rows"] = tuple(rows)
             return
         u, v = pairs[idx]
-        if not creates_forbidden(u, v):
-            gained = new_r_cliques(u, v)
+        # Edge (u, v) completes a K_{s+1} iff the common neighborhood of u and v
+        # holds a K_{s-1}, and it adds one r-clique per (r-2)-clique there.
+        common = rows[u] & rows[v]
+        if not cliques_within(common, s - 1):
+            gained = cliques_within(common, r - 2) if r > 1 else 0
             rows[u] |= 1 << v
             rows[v] |= 1 << u
             walk(idx + 1, count + gained)

@@ -16,14 +16,12 @@ import time
 from math import comb, isnan
 from typing import NamedTuple, Optional
 
-from .errors import CapExceeded, GensetError
+from .errors import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, CapExceeded, GensetError
 from .families import (
     SetFamily, _submasks, canonical_generator, canonical_size, trivial_lower_bound,
 )
 from .generate import _smallest_missing, add_member, is_k_generator
 
-DEFAULT_NODE_BUDGET = 10**9
-DEFAULT_TIME_BUDGET = 600.0
 # Checked before anything is allocated. (8,3) already takes minutes; n = 16
 # keeps the 2^n-bit tables at 8 KiB, one chunk per layer (w = n).
 SEARCH_CAP = 16

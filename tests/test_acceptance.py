@@ -105,12 +105,21 @@ def test_criterion_05_turan_cross_check():
     report(5, "Turán clique counts match C(s,r)T^r; T=50 densities within 0.02 of eta", ok)
 
 
+# Labeled K_{s+1}-free graphs on l = 0..7 vertices, the graphs erdos_max_check
+# enumerates; for s = 2 the triangle-free ones, OEIS A006785.
+K_FREE_GRAPHS = {
+    2: [1, 1, 2, 7, 41, 388, 5789, 133501],
+    3: [1, 1, 2, 8, 63, 958, 27626, 1486597],
+}
+
+
 def test_criterion_06_erdos_maximization():
     ok = True
     for s, r in ((2, 2), (3, 2), (3, 3)):
         for l in range(r, 8):
             rep = erdos_max_check(l, s, r)
             ok &= rep.attained_by_turan
+            ok &= rep.graphs_enumerated == K_FREE_GRAPHS[s][l]
             if (s, r) == (2, 2):
                 ok &= rep.max_count == l * l // 4
     report(6, "Turán graph attains the max K_r count over K_{s+1}-free graphs, l <= 7", ok)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import comb, isclose
 
@@ -21,7 +22,7 @@ from genset import (
     trivial_lower_bound,
     union_bound_check,
 )
-from genset.bounds import PRECISION_BITS, pow2
+from genset.bounds import PRECISION_BITS, BoundValue, pow2
 
 
 def assert_at_precision(bound, reference):
@@ -99,6 +100,19 @@ class TestLemma4Bound:
     def test_t_zero_rejected(self):
         with pytest.raises(GensetError):
             lemma4(10, 2, 32, 0)
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 4), Fraction(2)])
+    def test_past_the_digit_limit_refused_before_it_is_built(self, delta):
+        # 2^(3 10^8 / 4) and 2^-10^8: a numerator, or a denominator, of some 10^7 digits.
+        with pytest.raises(CapExceeded):
+            lemma4_bound(10**8, 1, 2, 1, BoundValue(delta, True))
+
+    def test_near_the_digit_limit_still_returned(self):
+        # 2^14252 has 4291 digits; an inexact 2^-(10^8 + 1)/2 prints as the float 0.
+        value = lemma4_bound(19000, 1, 2, 1, BoundValue(Fraction(1, 4), True))
+        assert value.exact and value.value == 2**14252
+        tiny = lemma4_bound(10**8 + 1, 1, 2, 1, BoundValue(Fraction(3, 2), True))
+        assert not tiny.exact and float(tiny.value) == 0 < tiny.value
 
 
 class TestAnalyticUnionBound:
@@ -201,6 +215,25 @@ class TestUnionBoundCheck:
     def test_k_zero_rejected(self):
         with pytest.raises(GensetError):
             union_bound_check(canonical_generator(4, 2), 0, t=1)
+
+    def test_given_delta_in_regime_is_m_at_least_its_power_of_two(self):
+        # m >= 2^(p/q) iff m^q >= 2^p, for m = 16, 32 on [9] and k = 2.
+        fam9 = canonical_generator(9, 2)
+        for size, q, p in itertools.product((16, 32), range(1, 7), range(-3, 8)):
+            delta = Fraction(p, q)
+            report = union_bound_check(make_family(9, fam9.members[:size]), 2, delta, t=1)
+            e = (Fraction(1, 3) + delta) * 9
+            assert report.in_regime == (delta > 0 and size**e.denominator >= 2**e.numerator)
+
+    def test_large_delta_decided_in_bounded_memory(self):
+        # Building 2^(1.2 10^8) for in_regime took about 15 MiB.
+        tracemalloc.start()
+        try:
+            report = union_bound_check(canonical_generator(12, 2), 2, Fraction(10**7), t=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.in_regime and peak < 1 << 20
 
     @pytest.mark.parametrize("trials,seed", [(None, None), (10, 1)])
     def test_bound_beyond_the_double_range(self, trials, seed):

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from genset import canonical_generator, cli, families, format_family, generate, graphs, search
+from genset import (
+    canonical_generator, cli, errors, families, format_family, generate, graphs, search,
+)
 from genset.graphs import (
     Graph, format_graph, graph_from_edges, turan_blowup_graph, turan_clique_closed_form,
 )
@@ -404,9 +406,11 @@ class TestValuesTooLargeToPrint:
             # 2^15000 has 4516 digits; 3000!/3000^3000 is a float (0.0) but has more.
             ("bounds", "lemma4", "-n", "20000", "-k", "1", "-m", "2", "-t", "1", "--delta", "1/4"),
             ("turan", "eta", "-r", "3000", "-s", "3000"),
+            # C(3000, 3000) 3000^3000 has 10432 digits.
+            ("turan", "closed-form", "-s", "3000", "-T", "3000", "-r", "3000"),
         ],
         ids=["lemma4-exact", "lemma4-inexact", "union-check-exact", "union-check-sampled",
-             "lemma4-digits", "eta-digits"],
+             "lemma4-digits", "eta-digits", "closed-form-digits"],
     )
     def test_refused_with_nothing_on_stdout(self, capsys, fam40, args):
         status = cli.main(["--no-meta", *(fam40 if a == "FAM" else a for a in args)])
@@ -515,9 +519,10 @@ class TestDeterminismAndConfig:
 class TestCapDefaults:
     def test_parser_defaults_are_the_module_constants(self):
         args = cli.build_parser().parse_args(["construct", "-n", "1", "-k", "1"])
-        assert args.dp_cap == generate.DEFAULT_DP_CAP
-        assert args.node_budget == search.DEFAULT_NODE_BUDGET
-        assert args.time_budget == search.DEFAULT_TIME_BUDGET
+        assert args.dp_cap == errors.DEFAULT_DP_CAP == generate.DEFAULT_DP_CAP
+        assert args.graph_cap == errors.DEFAULT_GRAPH_CAP == graphs.DEFAULT_GRAPH_CAP
+        assert args.node_budget == errors.DEFAULT_NODE_BUDGET == search.DEFAULT_NODE_BUDGET
+        assert args.time_budget == errors.DEFAULT_TIME_BUDGET == search.DEFAULT_TIME_BUDGET
 
     @pytest.mark.parametrize("command", ["graph", "turan graph", "blowup"])
     @pytest.mark.parametrize("source", ["default", "flag", "config"])
@@ -553,8 +558,8 @@ class TestCapDefaults:
             assert refused is (cap < 6), (cap, status, err)
 
 
-# Help texts of the parser as it stood before --graph-cap's default moved into
-# the graphs handlers, printed at 80 columns by Python 3.11's argparse.
+# Help texts of the parser, printed at 80 columns by Python 3.11's argparse. They
+# show no defaults, so where a cap's default is defined leaves them unchanged.
 HELP = json.loads((Path(__file__).parent / "data" / "cli_help.json").read_text())
 
 

@@ -196,7 +196,7 @@ class TestCliqueWalk:
         g = random_graph(m, rng.uniform(0.3, 0.6), seed=seed)
         expected = clique_profile_by_sets(g, 6)
         for r in range(3, 7):
-            assert _clique_profile(g, r, DEFAULT_CLIQUE_WORK_LIMIT) == expected[: r + 1]
+            assert _clique_profile(g.rows, r, DEFAULT_CLIQUE_WORK_LIMIT) == expected[: r + 1]
 
     @pytest.mark.parametrize(
         "g,r",
@@ -208,9 +208,9 @@ class TestCliqueWalk:
         # One step per clique of size 1..r-1, whatever the graph.
         expected = clique_profile_by_sets(g, r)
         steps = sum(expected[1:r])
-        assert _clique_profile(g, r, steps) == expected
+        assert _clique_profile(g.rows, r, steps) == expected
         with pytest.raises(WorkLimitExceeded):
-            _clique_profile(g, r, steps - 1)
+            _clique_profile(g.rows, r, steps - 1)
 
     @pytest.mark.parametrize("r", [30, 1050])
     def test_deep_clique_is_refused_not_recursed(self, r):

@@ -81,7 +81,46 @@ def fam42(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def triangle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup") / "triangle.txt"
+    path.write_text("vertices=4\n0 1\n0 2\n1 2\n")
+    return str(path)
+
+
+# Each subcommand and the layers it loads besides cli, errors and families.
+SUBCOMMAND_LAYERS = {
+    "construct -n 4 -k 2": set(),
+    "bounds trivial -n 4 -k 2": set(),
+    "check --family FAM -k 2": {"generate"},
+    "check --family FAM -k 2 --base": {"generate"},
+    "search-min -n 4 -k 2": {"generate", "search"},
+    "search-min --sweep --n-max 3 --k-max 2": {"generate", "search"},
+    "graph --family FAM --count-cliques 3": {"graphs"},
+    "turan eta -r 2 -s 3": {"graphs"},
+    "blowup --graph GRAPH -a 2 -t 1": {"graphs"},
+    "experiment dense-subset --graph GRAPH -l 3 -r 2 --threshold 1": {"graphs"},
+    "bounds lemma4 -n 12 -k 2 -m 32 -t 3": {"bounds", "graphs"},
+    "bounds table --n-max 4 --k-max 2": {"bounds", "graphs"},
+    "bounds union-check --family FAM -k 1 -t 2 --delta 1/4": {"bounds", "graphs"},
+    "experiment union-prob --family FAM -t 2 --threshold 2": {"bounds", "graphs"},
+    "bounds coverage --family FAM -k 2": {"bounds", "generate", "graphs"},
+}
+
+
 class TestStartupLoadsOnlyWhatRuns:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_LAYERS))
+    def test_subcommand_loads_exactly_its_layers(self, fam42, triangle, command):
+        paths = {"FAM": fam42, "GRAPH": triangle}
+        status, lines, modules = loaded_after(
+            ["--no-meta", *(paths.get(a, a) for a in command.split())]
+        )
+        assert status == 0 and lines
+        expected = {"cli", "errors", "families", *SUBCOMMAND_LAYERS[command]}
+        assert {m for m in modules if m.startswith("genset.")} == {
+            f"genset.{name}" for name in expected
+        }
+
     def test_import_loads_no_layer(self):
         _, _, modules = loaded_after()
         assert "genset.errors" in modules
