@@ -91,8 +91,20 @@ def lemma4_bound(n: int, k: int, m: int, t: int, delta: BoundValue) -> BoundValu
     bits = sys.get_int_max_str_digits() * 10 // 3 or inf
     low = exponent + (k + 1) * (c.bit_length() - 1) - k * k.bit_length()
     high = exponent + (k + 1) * c.bit_length() - k * (k.bit_length() - 3)
-    if c and (low > bits or delta.exact and exponent.denominator == 1 and high < -bits):
+    exact = delta.exact and exponent.denominator == 1
+    if c and (low > bits or exact and high < -bits):
         raise CapExceeded("value too large to print")
+    if not exact and high < -1075:
+        # Below half the smallest subnormal double, so it prints as 0.0 however
+        # its last bits fall: evaluate it in mpmath alone, without building
+        # c^(k+1) and (k+1)! in full.
+        def tiny(mp):
+            d = delta.value
+            if delta.exact:
+                d = mp.mpf(d.numerator) / d.denominator
+            return mp.power(2, n * (1 - d * t)) * (k + 1) * mp.power(c, k + 1) / mp.factorial(k + 1)
+
+        return _inexact(tiny)
     rest = Fraction((k + 1) * c ** (k + 1), factorial(k + 1))
     if delta.exact:
         return pow2(exponent, rest)

@@ -230,7 +230,7 @@ def _cmd_check(args) -> int:
         op = "is_k_base"
     else:
         layers = gen_mod.reachable_layers(fam, args.k, dp_cap=args.dp_cap)
-        verdict = gen_mod.verdict_from_layers(layers, fam.n)
+        verdict = gen_mod.verdict_from_layers(layers)
         op = "is_k_generator"
     record = {"op": op, "k": args.k, "holds": verdict.holds}
     if not verdict.holds:

@@ -20,14 +20,16 @@ one more step: the source of chunk y | g_hi is the union of below[y | s] over
 s within g_hi, with the elements of g_lo then folded out of it (see
 add_member).
 
-Memory is the k+1 layers (k capped at n) of 2^n bits each as chunks, and at
-the end the one int per layer that reachable_layers returns, joined from the
-chunks. The memory of freed chunks mostly stays with the process, so the peak
-is about twice the table.
+Memory is the table itself: k+1 layers (k capped at n) of 2^n bits each, about
+(min(k, n) + 1) 2^n / 8 bytes as chunks. reachable_layers returns a read-only
+view of the chunks, and the verdict and decompose read them in place, so no
+2^n-bit int is built on the check path, not even on failure. Only indexing the
+view joins a layer into one int, for the caller that asks for it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -35,7 +37,7 @@ from .errors import DEFAULT_DP_CAP, CapExceeded, GensetError
 from .families import SetFamily, SubsetMask, _bits, _submasks, check_mask
 
 # Chunks of 2^13 bits (1 KiB). reachable_layers takes w >= 3, a chunk of whole
-# bytes, so that the join is a to_bytes/from_bytes copy.
+# bytes, so that joining a layer is a to_bytes/from_bytes copy.
 CHUNK_BITS = 13
 
 
@@ -102,10 +104,55 @@ def add_member(
                 table[hi + y] |= (below & disj) << g_lo
 
 
+class Layers(Sequence):
+    """A read-only view of a reachable_layers table: item j is layer j, one 2^n-bit int.
+
+    The table stays in its chunks. Each item access joins that layer afresh
+    and keeps nothing, so a caller that indexes a layer holds the table plus
+    that layer; chunks and bit read the table in place. The view equals the
+    list of its layers.
+    """
+
+    __slots__ = ("_table", "_count", "w")
+
+    def __init__(self, table: list[int], n: int, w: int):
+        self._table, self._count, self.w = table, 1 << n - w, w
+
+    def __len__(self) -> int:
+        return len(self._table) // self._count
+
+    def __getitem__(self, j):
+        j = range(len(self))[j]  # a negative j counts from the top; a slice gives a list
+        if isinstance(j, range):
+            return [self[i] for i in j]
+        if self._count == 1:
+            return self._table[j]
+        size = 1 << self.w - 3
+        data = bytearray(size * self._count)
+        for y, chunk in enumerate(self.chunks(j)):
+            data[y * size:(y + 1) * size] = chunk.to_bytes(size, "little")
+        return int.from_bytes(data, "little")
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def chunks(self, j: int) -> list[int]:
+        """The chunks of layer j: chunk y holds the bits of the masks x with x >> w == y."""
+        start = j * self._count
+        return self._table[start:start + self._count]
+
+    def bit(self, j: int, x: SubsetMask) -> int:
+        """Bit x of layer j."""
+        chunk = self._table[j * self._count + (x >> self.w)]
+        return chunk >> (x & (1 << self.w) - 1) & 1
+
+
 def reachable_layers(
     fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP, overlap: bool = False
-) -> list[int]:
-    """Layers 0..min(k, n) of the union DP, each a 2^n-bit bitmap.
+) -> Layers:
+    """Layers 0..min(k, n) of the union DP, each a 2^n-bit bitmap, as a view of the chunks.
 
     Bit x of layer j is set iff mask x is a union of at most j members,
     pairwise disjoint unless overlap. Empty members are skipped: they never
@@ -122,7 +169,7 @@ def reachable_layers(
     if top <= 1:
         # Layer 1 is the members themselves, set in one pass over a buffer
         # instead of one kernel step per member.
-        return [1] + [1 | _membership_bitmap(fam)] * top
+        return Layers([1] + [1 | _membership_bitmap(fam)] * top, n, n)
     w = min(n, max(CHUNK_BITS, 3))
     chunks = 1 << n - w
     table = [0] * (top + 1) * chunks
@@ -132,18 +179,7 @@ def reachable_layers(
         if g:
             add_member(table, g, n, w, reach, overlap)
             reach |= g >> w
-    if chunks == 1:
-        return table
-    size = 1 << w - 3
-    layers = []
-    while table:
-        # Copy the top layer left out as bytes and free its chunks before
-        # the int is read, so that no layer is held three times.
-        data = b"".join(c.to_bytes(size, "little") for c in table[-chunks:])
-        del table[-chunks:]
-        layers.append(int.from_bytes(data, "little"))
-        del data
-    return layers[::-1]
+    return Layers(table, n, w)
 
 
 def _smallest_missing(covered: int, n: int) -> Optional[SubsetMask]:
@@ -154,45 +190,49 @@ def _smallest_missing(covered: int, n: int) -> Optional[SubsetMask]:
     return (covered ^ (covered + 1)).bit_length() - 1
 
 
-def verdict_from_layers(layers: list[int], n: int) -> GeneratorVerdict:
-    """The verdict read off the top layer of a reachable_layers table.
+def verdict_from_layers(layers: Layers) -> GeneratorVerdict:
+    """The verdict read off the top layer of a reachable_layers table, chunk by chunk.
 
     On failure the counterexample is the numerically smallest uncovered mask.
     """
-    x = _smallest_missing(layers[-1], n)
-    return GeneratorVerdict(x is None, x)
+    w = layers.w
+    for y, chunk in enumerate(layers.chunks(len(layers) - 1)):
+        x = _smallest_missing(chunk, w)
+        if x is not None:
+            return GeneratorVerdict(False, y << w | x)
+    return GeneratorVerdict(True)
 
 
 def is_k_generator(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> GeneratorVerdict:
     """Does every subset of [n] split into at most k disjoint members?"""
-    return verdict_from_layers(reachable_layers(fam, k, dp_cap=dp_cap), fam.n)
+    return verdict_from_layers(reachable_layers(fam, k, dp_cap=dp_cap))
 
 
 def decompose(
-    fam: SetFamily, layers: list[int], x: SubsetMask
+    fam: SetFamily, layers: Layers, x: SubsetMask
 ) -> Optional[tuple[SubsetMask, ...]]:
     """A witness split of x into at most k disjoint nonempty members, if one exists.
 
-    layers is the table reachable_layers(fam, k). Greedy largest-first over
-    its layers; returns the tuple of parts in descending mask order (empty
-    for x = 0), or None when x is not expressible.
+    layers is the table reachable_layers(fam, k), read bit by bit. Greedy
+    largest-first over its layers; returns the tuple of parts in descending
+    mask order (empty for x = 0), or None when x is not expressible.
     """
     check_mask(x, fam.n)
     k = len(layers) - 1
-    if not (layers[k] >> x) & 1:
+    if not layers.bit(k, x):
         return None
     members_desc = sorted((g for g in fam.members if g), reverse=True)
     parts = []
     cur = x
     j = k
     while cur:
-        if (layers[j - 1] >> cur) & 1:
+        if layers.bit(j - 1, cur):
             j -= 1
             continue
         for g in members_desc:
             if g & ~cur:
                 continue
-            if (layers[j - 1] >> (cur ^ g)) & 1:
+            if layers.bit(j - 1, cur ^ g):
                 parts.append(g)
                 cur ^= g
                 j -= 1
@@ -204,4 +244,4 @@ def decompose(
 
 def is_k_base(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> GeneratorVerdict:
     """Like is_k_generator but unions may overlap."""
-    return verdict_from_layers(reachable_layers(fam, k, dp_cap=dp_cap, overlap=True), fam.n)
+    return verdict_from_layers(reachable_layers(fam, k, dp_cap=dp_cap, overlap=True))

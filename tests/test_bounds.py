@@ -1,7 +1,8 @@
 import itertools
+import time
 import tracemalloc
 from fractions import Fraction
-from math import comb, isclose
+from math import comb, factorial, isclose
 
 import mpmath
 import pytest
@@ -113,6 +114,30 @@ class TestLemma4Bound:
         assert value.exact and value.value == 2**14252
         tiny = lemma4_bound(10**8 + 1, 1, 2, 1, BoundValue(Fraction(3, 2), True))
         assert not tiny.exact and float(tiny.value) == 0 < tiny.value
+
+    def test_inexact_tiny_bound_answered_in_under_a_second(self):
+        # 2^7.5 2^(10^7 + 1) / 10^7! is about 2^(-2 10^8). Building 2^(10^7 + 1)
+        # and (10^7 + 1)! in full took over 20 s, only to print 0.0.
+        start = time.perf_counter()
+        value = lemma4_bound(10, 10**7, 2, 1, BoundValue(Fraction(1, 4), True))
+        assert time.perf_counter() - start < 1
+        assert not value.exact and float(value.value) == 0 < value.value
+
+    @pytest.mark.parametrize("n,m,t,delta,ks", [
+        (10, 2, 1, Fraction(1, 4), range(260, 300)),  # switches at k = 272
+        (100, 5, 2, Fraction(3, 7), range(490, 530)),  # switches at k = 512
+    ])
+    def test_tiny_bound_at_precision_across_the_switch(self, n, m, t, delta, ks):
+        # Past 2^-1075 the bound is evaluated in mpmath alone; on both sides it
+        # agrees with the exact c^(k+1) (k+1) / (k+1)! times 2^(n (1 - delta t)).
+        for k in ks:
+            rest = Fraction((k + 1) * comb(m, t) ** (k + 1), factorial(k + 1))
+            exponent = n * (1 - delta * t)
+            assert_at_precision(
+                lemma4_bound(n, k, m, t, BoundValue(delta, True)),
+                lambda mp: mp.power(2, mp.mpf(exponent.numerator) / exponent.denominator)
+                * rest.numerator / rest.denominator,
+            )
 
 
 class TestAnalyticUnionBound:

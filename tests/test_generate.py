@@ -1,5 +1,8 @@
+import functools
 import itertools
+import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +22,7 @@ from genset import (
     reachable_layers,
 )
 from genset.families import SetFamily
-from genset.generate import _smallest_missing, add_member
+from genset.generate import _smallest_missing, add_member, verdict_from_layers
 
 
 def brute_reachable(fam, k):
@@ -264,6 +267,91 @@ class TestChunkedTable:
         assert reachable_layers(fam, 50) == reachable_layers(fam, 9) == whole_table(fam, 9)
         assert reachable_layers(fam, 50, overlap=True) == whole_table(fam, 9, overlap=True)
         assert is_k_generator(with_empty, 3).holds and not is_k_generator(with_empty, 2).holds
+
+
+def check_reads(fam, k, overlap):
+    """Checks the view of reachable_layers against whole_table, and its verdict and
+    decompose against brute force, for every target; returns the counterexample."""
+    layers = reachable_layers(fam, k, overlap=overlap)
+    whole = whole_table(fam, k, overlap)
+    assert layers == whole and len(layers) == len(whole)
+    top = len(layers) - 1
+    reach = (brute_overlapping if overlap else brute_reachable)(fam, top)
+    missing = next((x for x in range(1 << fam.n) if x not in reach), None)
+    assert verdict_from_layers(layers) == (missing is None, missing)
+    for x in range(1 << fam.n):
+        assert layers.bit(top, x) == whole[top] >> x & 1 == (x in reach)
+        if overlap:
+            continue  # decompose splits into disjoint members only
+        dec = decompose(fam, layers, x)
+        assert (dec is not None) == (x in reach)
+        if dec is not None:
+            assert len(dec) <= top and all(g in fam.members for g in dec)
+            # A sum equal to the union: the parts are pairwise disjoint.
+            assert sum(dec) == functools.reduce(operator.or_, dec, 0) == x
+    return missing
+
+
+class TestChunkReads:
+    """verdict_from_layers and decompose read the chunks in place: n above CHUNK_BITS."""
+
+    @pytest.mark.parametrize(
+        "n,w", [(9, 3), (9, 6), (10, 4), (11, 5), (11, 9), (12, 3), (12, 6), (13, 7), (14, 8), (14, 9)]
+    )
+    def test_verdict_and_decompose_match_brute_force(self, n, w, monkeypatch):
+        monkeypatch.setattr(generate, "CHUNK_BITS", w)
+        singletons = make_family(n, [1 << b for b in range(n)])
+        rng = random.Random(800 + n + w)
+        last = (1 << n - w) - 1
+        for overlap in (False, True):
+            # Singletons at k miss the k + 1 lowest elements first: in chunk 0,
+            # in chunk 1 (a middle one, n - w >= 2 here), and the full set in
+            # the last chunk.
+            for k, chunk in ((2, 0), (w, 1), (n - 1, last)):
+                assert check_reads(singletons, k, overlap) >> w == chunk
+            assert check_reads(permuted(canonical_generator(n, 3), rng), 2, overlap) is not None
+            assert check_reads(canonical_generator(n, 2), 2, overlap) is None
+
+    def test_view_len_index_and_equality(self, monkeypatch):
+        monkeypatch.setattr(generate, "CHUNK_BITS", 4)
+        fam = canonical_generator(10, 3)
+        layers, whole = reachable_layers(fam, 3), whole_table(fam, 3)
+        assert len(layers) == 4 and len(reachable_layers(fam, 50)) == 11
+        assert layers[-1] == whole[3] and layers[-4] == whole[0] and layers[1:3] == whole[1:3]
+        for j in (4, -5):
+            with pytest.raises(IndexError):
+                layers[j]
+        assert layers == whole and whole == layers and list(layers) == whole
+        assert layers == reachable_layers(fam, 3) and layers == tuple(whole)
+        assert layers != whole[:3] and layers != [0] * 4 and layers != whole[0]
+
+
+class TestCheckPathNeverJoins:
+    """The check path reads the chunk table in place: no 2^n-bit layer int is built."""
+
+    @pytest.mark.parametrize("read", ["is_k_generator", "is_k_base", "decompose"])
+    def test_peak_stays_below_the_table_plus_one_layer(self, read):
+        n, k = 20, 3  # 128 chunks per layer
+        fam = canonical_generator(n, k)
+        overlap = read == "is_k_base"
+        run = {
+            "is_k_generator": lambda: is_k_generator(fam, k).holds,
+            "is_k_base": lambda: is_k_base(fam, k).holds,
+            "decompose": lambda: decompose(fam, reachable_layers(fam, k), (1 << n) - 1) is not None,
+        }[read]
+        run()  # fills the disjoint-positions cache, which outlives the call
+        tracemalloc.start()
+        try:
+            layers = reachable_layers(fam, k, overlap=overlap)
+            table = tracemalloc.get_traced_memory()[0]  # the chunks, most of them zero here
+            del layers
+            tracemalloc.reset_peak()
+            assert run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Joining even one layer holds its bytes and its int at once: two layers.
+        assert peak < table + (1 << n) // 8
 
 
 class TestSmallestMissing:
