@@ -1,33 +1,36 @@
 """Exact and high-precision evaluation of the counting and probability bounds.
 
-Every power of two goes through pow2: it stays an exact Fraction whenever its
-exponent is an integer, and is otherwise evaluated with mpmath at a fixed 113
-bits (PRECISION_BITS) and flagged as inexact. So the analytic union bound is
-exact whenever n t/(k+1) is an integer, and the Lemma 4 bound whenever delta
-is exact and n(1 - delta t) is an integer. mpmath is imported only on those
-inexact branches (a non-integral power of two, or the log of an m that is not
-a power of two), so exact bounds never load it.
+pow2 keeps a power of two an exact Fraction whenever its exponent is an
+integer, and otherwise evaluates it with mpmath at a fixed 113 bits
+(PRECISION_BITS), flagged as inexact. So the analytic union bound is exact
+whenever n t/(k+1) is an integer. The Lemma 4 bound is an exact Fraction
+whenever delta is exact and n(1 - delta t) is an integer, and otherwise one
+mpmath expression that builds no exact integer. mpmath is imported only on
+those inexact branches (a non-integral power of two, or the log of an m that
+is not a power of two), so exact bounds never load it; only the bounds that
+count or sample members load the graphs layer.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
-from math import comb, factorial, inf
+from math import comb, factorial
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
-from .errors import CapExceeded, GensetError
+from .errors import DEFAULT_GRAPH_CAP, GensetError, refuse_past_digit_limit
 from .families import (
     SetFamily,
     canonical_size,
+    comb_log2_bounds,
     trivial_lower_bound,
 )
-from .graphs import DEFAULT_GRAPH_CAP, Estimate, count_disjoint_tuples, subset_fraction
 
 PRECISION_BITS = 113
 
 if TYPE_CHECKING:
     import mpmath
+
+    from .graphs import Estimate
     Number = Union[Fraction, mpmath.mpf]
 
 
@@ -76,42 +79,40 @@ def lemma4_bound(n: int, k: int, m: int, t: int, delta: BoundValue) -> BoundValu
 
     Upper bound on the number of complete (k+1)-partite blow-ups with part
     size t inside the disjointness graph of a family of m sets, for the delta
-    that resolve_delta gives. A bound too long to print is refused before it is built.
+    that resolve_delta gives. It is an exact Fraction when delta is exact and
+    n(1 - delta t) an integer, refused before it is built if its numerator or
+    denominator is too long to print. Otherwise it is evaluated in mpmath
+    alone; one past the double range is returned, and the CLI refuses it.
     """
     if n < 1 or k < 1 or m < 1 or t < 1:
         raise GensetError("n, k, m, t must all be >= 1")
     if delta.value <= 0:
         raise GensetError(f"delta must be positive, got {delta.value}")
-    c = comb(m, t)
-    exponent = n * (1 - delta.value * t)
-    # The bound is 2^exponent c^{k+1} / k!, and (k/4)^k <= k! <= k^k bounds its
-    # log2 by low and high. Past 2^(+-bits) > 10^(+-digits) the numerator or the
-    # denominator of an exact bound is too long to print; an inexact one prints
-    # as a float, so only a large one counts.
-    bits = sys.get_int_max_str_digits() * 10 // 3 or inf
-    low = exponent + (k + 1) * (c.bit_length() - 1) - k * k.bit_length()
-    high = exponent + (k + 1) * c.bit_length() - k * (k.bit_length() - 3)
-    exact = delta.exact and exponent.denominator == 1
-    if c and (low > bits or exact and high < -bits):
-        raise CapExceeded("value too large to print")
-    if not exact and high < -1075:
-        # Below half the smallest subnormal double, so it prints as 0.0 however
-        # its last bits fall: evaluate it in mpmath alone, without building
-        # c^(k+1) and (k+1)! in full.
-        def tiny(mp):
-            d = delta.value
-            if delta.exact:
-                d = mp.mpf(d.numerator) / d.denominator
-            return mp.power(2, n * (1 - d * t)) * (k + 1) * mp.power(c, k + 1) / mp.factorial(k + 1)
+    # Exact even for an mpf delta, which is a dyadic rational.
+    d = delta.value if delta.exact else Fraction(delta.value.man) * Fraction(2) ** delta.value.exp
+    exponent = n * (1 - d * t)
+    if delta.exact and exponent.denominator == 1:
+        if t <= m:
+            # The bound is 2^exponent C(m, t)^{k+1} / k!, and (k/4)^k <= k! <= k^k.
+            low, high = comb_log2_bounds(m, t)
+            refuse_past_digit_limit(max(
+                exponent + (k + 1) * low - k * k.bit_length(),  # log2 of the numerator, at least
+                -(exponent + (k + 1) * high - k * (k.bit_length() - 3)),  # of the denominator
+            ))
+        return pow2(exponent, Fraction((k + 1) * comb(m, t) ** (k + 1), factorial(k + 1)))
+    whole, frac = divmod(exponent, 1)
 
-        return _inexact(tiny)
-    rest = Fraction((k + 1) * c ** (k + 1), factorial(k + 1))
-    if delta.exact:
-        return pow2(exponent, rest)
-    return _inexact(
-        lambda mp: mp.power(2, n * (1 - delta.value * t))
-        * mp.mpf(rest.numerator) / rest.denominator
-    )
+    def evaluate(mp):
+        # The (k+1)-th power multiplies the rounding error of C(m, t) by k + 1,
+        # and mpmath adds 1 to m at twice the working precision.
+        with mp.extraprec((k + 1).bit_length() + m.bit_length() + 10):
+            value = (
+                mp.ldexp(mp.power(2, mp.mpf(frac.numerator) / frac.denominator), whole)
+                * (k + 1) * mp.binomial(m, t) ** (k + 1) / mp.factorial(k + 1)
+            )
+        return +value  # rounded to PRECISION_BITS
+
+    return _inexact(evaluate)
 
 
 def analytic_union_bound(n: int, k: int, m: int, t: int) -> BoundValue:
@@ -148,6 +149,7 @@ def small_union_probability(
                 hits += 1
         return hits
 
+    from .graphs import subset_fraction
     return subset_fraction(fam.members, t, count_small, trials, seed)
 
 
@@ -176,9 +178,14 @@ def union_bound_check(
     if t < 1:
         raise GensetError(f"need t >= 1, got {t}")
     n, m = fam.n, fam.m
-    d = resolve_delta(n, k, m, delta)
+    if k < 1 or m < 1:
+        raise GensetError("n, k, m must all be >= 1")
     threshold = n // (k + 1)
+    # The probability before delta: graphs, which it loads, is then compiled
+    # before mpmath is imported. Without cached bytecode the compiler's memory
+    # would otherwise add about 1 MiB to the peak RSS on top of mpmath.
     prob = small_union_probability(fam, t, threshold, seed=seed, trials=trials)
+    d = resolve_delta(n, k, m, delta)
     analytic = analytic_union_bound(n, k, m, t)
     # m < 2^b for b = m.bit_length(), so an exponent of b or more is out of
     # regime, and 2^exponent is built only below 2^b.
@@ -207,6 +214,7 @@ def coverage_inequality_check(
     fam: SetFamily, k: int, graph_cap: int = DEFAULT_GRAPH_CAP
 ) -> CoverageReport:
     """For a k-generator the number of disjoint <=k-tuples must reach 2^n."""
+    from .graphs import count_disjoint_tuples
     tuples = count_disjoint_tuples(fam, k, graph_cap)
     two_to_n = 1 << fam.n
     return CoverageReport(tuples, two_to_n, tuples >= two_to_n)

@@ -154,6 +154,19 @@ def trivial_lower_bound(n: int, k: int) -> int:
     return lo
 
 
+def comb_log2_bounds(m: int, t: int) -> tuple[int, int]:
+    """Integers low <= log2 C(m, t) <= high for 0 <= t <= m, without building C(m, t).
+
+    With s = min(t, m - t): (m/s)^s <= C(m, t) <= (e m/s)^s, and
+    2^(b - 1) <= m // s <= m/s < 2^b for b the bit length of m // s.
+    """
+    s = min(t, m - t)
+    if s == 0:
+        return 0, 0
+    b = (m // s).bit_length()
+    return s * (b - 1), s * (b + 2)  # log2 e < 2
+
+
 def format_family(fam: SetFamily) -> str:
     """Family file format: 'n=<int>' then one set per line."""
     lines = [f"n={fam.n}"]

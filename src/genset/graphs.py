@@ -8,15 +8,18 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, perm, sqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DEFAULT_GRAPH_CAP, CapExceeded, FamilyFormatError, GensetError, WorkLimitExceeded,
+    refuse_past_digit_limit,
 )
-from .families import SetFamily, _bits, _content_lines, _key_value
+from .families import SetFamily, _bits, _content_lines, _key_value, comb_log2_bounds
 
 DEFAULT_BLOWUP_CAP = 64
+# Most steps find_blowup takes; K_{32,32} with a = 3, t = 2 takes 744,096.
+DEFAULT_BLOWUP_WORK_LIMIT = 800_000
 DEFAULT_CLIQUE_WORK_LIMIT = 200_000_000
 # Most subsets an exact-mode subset walk enumerates.
 EXACT_BUDGET = 2_000_000
@@ -142,8 +145,9 @@ def count_disjoint_tuples(fam: SetFamily, k: int, graph_cap: int = DEFAULT_GRAPH
 
     These are the cliques of the disjointness graph, the empty tuple and the
     empty set included, so the count is 1 + sum over r <= k of its r-clique
-    counts. The graph's m(m-1)/2 pair tests are charged against
-    DEFAULT_CLIQUE_WORK_LIMIT first.
+    counts. The graph is built from the members' element columns, testing no
+    pair, but its m(m-1)/2 pairs are charged against DEFAULT_CLIQUE_WORK_LIMIT
+    first.
     """
     if k < 0:
         raise GensetError("k must be >= 0")
@@ -167,13 +171,15 @@ def clique_density(graph: Graph, r: int, count: Optional[int] = None) -> Fractio
 
 
 def turan_eta(r: int, s: int) -> Fraction:
-    """Limiting r-clique density of the balanced complete s-partite graph: s(s-1)...(s-r+1)/s^r."""
+    """Limiting r-clique density of the balanced complete s-partite graph: s(s-1)...(s-r+1)/s^r.
+
+    The product of the 1 - i/s is at most e^{-r(r-1)/(2s)}, so the reduced
+    denominator is at least 2^{r(r-1)/(2s ln 2)}, and ln 2 < 7/10.
+    """
     if not 1 <= r <= s:
         raise GensetError(f"need 1 <= r <= s, got r={r}, s={s}")
-    num = 1
-    for i in range(r):
-        num *= s - i
-    return Fraction(num, s**r)
+    refuse_past_digit_limit(Fraction(5 * r * (r - 1), 7 * s))
+    return Fraction(perm(s, r), s**r)
 
 
 def turan_blowup_graph(s: int, T: int, graph_cap: int = DEFAULT_GRAPH_CAP) -> Graph:
@@ -205,6 +211,7 @@ def turan_clique_closed_form(s: int, T: int, r: int) -> int:
         raise GensetError(f"need 1 <= r <= s, got r={r}, s={s}")
     if T < 1:
         raise GensetError(f"need T >= 1, got T={T}")
+    refuse_past_digit_limit(r * (T.bit_length() - 1) + comb_log2_bounds(s, r)[0])
     return comb(s, r) * T**r
 
 
@@ -213,7 +220,9 @@ def find_blowup(graph: Graph, a: int, t: int) -> Optional[list[tuple[int, ...]]]
 
     Edges inside a class are allowed and ignored: only the cross edges of the
     complete a-partite pattern are required. Exhaustive backtracking; classes
-    are found in increasing order of their smallest vertex.
+    are found in increasing order of their smallest vertex. A class tried
+    costs t + 1 steps, one per vertex and one for the search below it, and
+    more than DEFAULT_BLOWUP_WORK_LIMIT steps raise WorkLimitExceeded.
     """
     if a < 2 or t < 1:
         raise GensetError("need a >= 2 and t >= 1")
@@ -221,8 +230,10 @@ def find_blowup(graph: Graph, a: int, t: int) -> Optional[list[tuple[int, ...]]]
     if m > DEFAULT_BLOWUP_CAP:
         raise CapExceeded(f"{m} vertices exceed blow-up cap {DEFAULT_BLOWUP_CAP}")
     rows = graph.rows
+    work = 0
 
     def extend(classes: list[tuple[int, ...]], common: int, min_start: int):
+        nonlocal work
         if len(classes) == a:
             return list(classes)
         need = a - len(classes)
@@ -230,6 +241,9 @@ def find_blowup(graph: Graph, a: int, t: int) -> Optional[list[tuple[int, ...]]]
             return None
         cands = [v for v in range(min_start, m) if (common >> v) & 1]
         for combo in itertools.combinations(cands, t):
+            work += t + 1
+            if work > DEFAULT_BLOWUP_WORK_LIMIT:
+                raise WorkLimitExceeded("blow-up search exceeded its work limit")
             new_common = common
             for v in combo:
                 new_common &= rows[v]

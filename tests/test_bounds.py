@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -124,12 +125,12 @@ class TestLemma4Bound:
         assert not value.exact and float(value.value) == 0 < value.value
 
     @pytest.mark.parametrize("n,m,t,delta,ks", [
-        (10, 2, 1, Fraction(1, 4), range(260, 300)),  # switches at k = 272
-        (100, 5, 2, Fraction(3, 7), range(490, 530)),  # switches at k = 512
+        (10, 2, 1, Fraction(1, 4), range(260, 300)),  # about 2^-1075 at k = 272
+        (100, 5, 2, Fraction(3, 7), range(490, 530)),  # about 2^-1075 at k = 512
     ])
     def test_tiny_bound_at_precision_across_the_switch(self, n, m, t, delta, ks):
-        # Past 2^-1075 the bound is evaluated in mpmath alone; on both sides it
-        # agrees with the exact c^(k+1) (k+1) / (k+1)! times 2^(n (1 - delta t)).
+        # Above and below the smallest doubles the bound agrees with the exact
+        # c^(k+1) (k+1) / (k+1)! times 2^(n (1 - delta t)).
         for k in ks:
             rest = Fraction((k + 1) * comb(m, t) ** (k + 1), factorial(k + 1))
             exponent = n * (1 - delta * t)
@@ -138,6 +139,66 @@ class TestLemma4Bound:
                 lambda mp: mp.power(2, mp.mpf(exponent.numerator) / exponent.denominator)
                 * rest.numerator / rest.denominator,
             )
+
+    @pytest.mark.parametrize("k", [1, 272, 5000, 10**5])
+    @pytest.mark.parametrize("n,m,t,delta", [
+        (10, 1048583, 7, Fraction(1, 3)),  # C(m, t) is about 2^127.7
+        (10, 1000003, 10, None),  # about 2^178.6, and delta derived from m
+        (200, 65537, 17, Fraction(2, 7)),
+        (10, 2**300 + 5, 7, Fraction(1, 3)),  # m itself needs more than 2 * 113 bits
+        (10**20 + 1, 1048583, 7, Fraction(1, 3)),  # an exponent of some 2^67
+    ])
+    def test_inexact_bound_to_its_precision(self, n, m, t, delta, k):
+        # Against 2^(n (1 - delta t)) (k+1) C(m, t)^(k+1) / (k+1)! at 300 bits,
+        # from the exact delta, C(m, t) and (k+1)!: C(m, t) > 2^113, so a
+        # bound that rounded C(m, t) to 113 bits first would miss by up to (k+1) 2^-113.
+        d = resolve_delta(n, k, m, delta)
+        bound = lemma4_bound(n, k, m, t, d)
+        assert not bound.exact and comb(m, t) >> 113
+        exact_delta = d.value if d.exact else Fraction(d.value.man) * Fraction(2) ** d.value.exp
+        whole, frac = divmod(n * (1 - exact_delta * t), 1)
+        fact = factorial(k + 1)
+        shift = max(0, fact.bit_length() - 330)  # (k+1)! truncated to within 2^-329
+        with mpmath.workprec(300 + k.bit_length()):
+            reference = (
+                mpmath.ldexp(mpmath.power(2, mpmath.mpf(frac.numerator) / frac.denominator), whole)
+                * (k + 1) * mpmath.mpf(comb(m, t)) ** (k + 1) / mpmath.ldexp(fact >> shift, shift)
+            )
+        with mpmath.workprec(300):
+            assert abs(bound.value / reference - 1) < mpmath.mpf(2) ** -110
+
+    def test_inexact_bound_past_the_double_range_is_returned(self):
+        # About 2^2614: the CLI refuses it as too large to print, the library returns it.
+        value = lemma4(20, 2, 2000, 400)
+        assert not value.exact and value.value > mpmath.mpf(2) ** 2600
+        assert float(value.value) == float("inf")
+
+    def test_tiny_exact_bound_sized_before_it_is_built(self):
+        # 2^-10^6 C(2, 1)^(10^4 + 1) / 10^4!: a denominator of some 10^6 bits.
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="too large to print"):
+            lemma4_bound(10**6, 10**4, 2, 1, BoundValue(Fraction(2), True))
+        assert time.perf_counter() - start < 1
+
+    def test_exact_bound_never_refused_when_printable(self):
+        # At the smallest digit limit Python allows, every exact bound the sizing
+        # refuses has a numerator or a denominator past that limit.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            refused = 0
+            for n, k, m, t in itertools.product((1, 7, 40, 700, 2000, 2300), (1, 2, 9, 60, 400),
+                                                (1, 2, 9, 100, 3000), (1, 2, 5, 50)):
+                delta = BoundValue(Fraction(1, 2 * t), True)  # n (1 - delta t) = n/2
+                try:
+                    value = lemma4_bound(2 * n, k, m, t, delta).value
+                except CapExceeded:
+                    refused += 1
+                    value = Fraction(2) ** n * (k + 1) * comb(m, t) ** (k + 1) / factorial(k + 1)
+                    assert max(value.numerator, value.denominator) >= 10**640, (n, k, m, t)
+            assert refused > 50
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestAnalyticUnionBound:

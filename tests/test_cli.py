@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb
@@ -416,6 +417,68 @@ class TestValuesTooLargeToPrint:
         status = cli.main(["--no-meta", *(fam40 if a == "FAM" else a for a in args)])
         out, err = capsys.readouterr()
         assert (status, out) == (3, "") and err.startswith("genset: budget exceeded: ")
+
+
+class TestLemma4Records:
+    """Inexact `bounds lemma4` records, pinned byte for byte as they were printed
+    when the bound was built from the exact C(m, t)^(k+1) and (k+1)!."""
+
+    @pytest.mark.parametrize("args,bound,delta", [
+        # delta derived from an m that is no power of two
+        ("-n 8 -k 4 -m 1023 -t 3", 4.947102488954976e+34, 1.049823803718166),
+        ("-n 8 -k 7 -m 65537 -t 3", 3.38647656691481e+94, 1.87500275170142),
+        ("-n 1 -k 271 -m 7 -t 1", 1.167143377e-314, 2.8036784514693687),  # subnormal
+        ("-n 10 -k 271830 -m 100001 -t 1", 1.9294184368125347, 1.6609618113752225),
+        # an exact delta, and a fractional exponent n (1 - delta t)
+        ("-n 5 -k 50 -m 32 -t 5", 1.4069612973849598e+200, "50/51"),
+        ("-n 2 -k 10 -m 7 -t 1 --delta 1/3", 1373.0575319806933, "1/3"),
+        ("-n 1 -k 50 -m 2 -t 2 --delta 1/4", 4.649862657399318e-65, "1/4"),
+        ("-n 8 -k 3 -m 100 -t 17 --delta 2/7", 1.6758879673907137e+65, "2/7"),
+        ("-n 1 -k 272 -m 7 -t 1 --delta 1/3", 1.664567175e-315, "1/3"),  # subnormal
+    ])
+    def test_pinned(self, capsys, args, bound, delta):
+        argv = args.split()
+        assert cli.main(["--no-meta", "bounds", "lemma4", *argv]) == 0
+        inexact = {"exact": False, "precision_bits": 113}
+        record = {"n": int(argv[1]), "k": int(argv[3]), "m": int(argv[5]), "t": int(argv[7])}
+        record["bound"] = {"approx": bound, **inexact}
+        record["delta"] = (
+            {"approx": float(Fraction(delta)), "exact": True, "rational": delta}
+            if isinstance(delta, str) else {"approx": delta, **inexact}
+        )
+        assert capsys.readouterr().out == json.dumps(record, sort_keys=True) + "\n"
+
+
+class TestAnsweredInUnderASecond:
+    """Each of these once ran for seconds or minutes, most of them building a huge integer."""
+
+    @pytest.fixture
+    def k32(self, tmp_path):
+        path = tmp_path / "k32_32.txt"
+        path.write_text(format_graph(turan_blowup_graph(2, 32)))
+        return str(path)
+
+    @pytest.mark.parametrize("args,status", [
+        ("bounds lemma4 -n 10 -k 1 -m 100000000 -t 10000000 --delta 1/4", 3),
+        ("turan closed-form -s 1000000 -T 1000000000 -r 1000000", 3),
+        ("turan closed-form -s 3000000 -T 1000000000 -r 3000000", 3),
+        ("turan eta -r 100000 -s 100000", 3),
+        ("turan eta -r 1000000 -s 1000000", 3),
+        ("bounds lemma4 -n 10 -k 271830 -m 100001 -t 1", 0),
+        ("bounds lemma4 -n 10 -k 1 -m 100000001 -t 10000000", 0),
+        ("blowup --graph K32 -a 3 -t 3", 3),
+        ("blowup --graph K32 -a 3 -t 4", 3),
+        ("blowup --graph K32 -a 3 -t 16", 3),
+    ])
+    def test_answered_or_refused(self, capsys, k32, args, status):
+        start = time.perf_counter()
+        assert cli.main(["--no-meta", *(k32 if a == "K32" else a for a in args.split())]) == status
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        if status == 3:
+            assert out == "" and err.startswith("genset: budget exceeded: ")
+        else:
+            assert json.loads(out)["bound"]["exact"] is False
 
 
 class TestExperiment:

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,9 @@ from genset import (
     parse_family,
     trivial_lower_bound,
 )
-from genset.families import _bits, _submasks, format_mask, mask_elements, mask_from_elements
+from genset.families import (
+    _bits, _submasks, comb_log2_bounds, format_mask, mask_elements, mask_from_elements,
+)
 
 
 def random_masks(seed, count=200):
@@ -135,6 +138,19 @@ class TestCanonicalSize:
             for q in range(1, 5):
                 n = k * q
                 assert canonical_size(n, k) == k * (2**q - 1)
+
+
+class TestCombLog2Bounds:
+    def test_brackets_the_binomial(self):
+        cases = [(m, t) for m in range(1, 70) for t in range(m + 1)]
+        cases += [(10**6, 3), (5000, 2500), (2**300 + 5, 7), (2**300 + 5, 2**300)]
+        for m, t in cases:
+            low, high = comb_log2_bounds(m, t)
+            assert 1 << low <= comb(m, t) <= 1 << high, (m, t)
+
+    def test_sized_without_building(self):
+        # C(10^8, 10^7) has some 4.7 10^7 bits; its bounds come from m // t alone.
+        assert comb_log2_bounds(10**8, 10**7) == (3 * 10**7, 6 * 10**7)
 
 
 class TestTrivialLowerBound:

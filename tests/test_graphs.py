@@ -1,8 +1,9 @@
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, perm, prod
 
 import pytest
 
@@ -306,6 +307,39 @@ class TestTuranEta:
                 exact = Fraction(turan_clique_closed_form(s, 50, r), comb(50 * s, r))
                 assert abs(exact - turan_eta(r, s)) < Fraction(2, 100)
 
+    def test_product_of_the_falling_terms(self):
+        for s in range(1, 30):
+            for r in range(1, s + 1):
+                assert turan_eta(r, s) == prod(Fraction(s - i, s) for i in range(r))
+
+
+class TestSizedBeforeBuilt:
+    """A count or a density is refused from a proven size before it is built."""
+
+    def test_never_refused_when_printable(self):
+        # At the smallest digit limit Python allows, whatever the sizing refuses
+        # has a numerator, denominator or count past that limit.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            refused = 0
+            for r in range(2, 5001, 97):
+                for s in (r, r + 1, 2 * r, 5000):
+                    for T in (1, 2, 3, 1000):
+                        try:
+                            turan_clique_closed_form(s, T, r)
+                        except CapExceeded:
+                            refused += 1
+                            assert comb(s, r) * T**r >= 10**640, (s, T, r)
+                    try:
+                        turan_eta(r, s)
+                    except CapExceeded:
+                        refused += 1
+                        assert Fraction(perm(s, r), s**r).denominator >= 10**640, (r, s)
+            assert refused > 50
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestTuranBlowupGraph:
     def test_two_parts_of_one(self):
@@ -355,6 +389,14 @@ class TestFindBlowup:
         monkeypatch.setattr(graphs, "DEFAULT_BLOWUP_CAP", 5)
         with pytest.raises(CapExceeded):
             find_blowup(turan_blowup_graph(3, 2), 2, 2)
+
+    def test_work_limit_is_the_step_count(self, monkeypatch):
+        # K_{32,32} has no triangle, so a = 3, t = 2 tries 248,032 classes of 3 steps each.
+        k32 = turan_blowup_graph(2, 32)
+        assert find_blowup(k32, 3, 2) is None
+        monkeypatch.setattr(graphs, "DEFAULT_BLOWUP_WORK_LIMIT", 744_095)
+        with pytest.raises(WorkLimitExceeded):
+            find_blowup(k32, 3, 2)
 
 
 class TestErdosMaxCheck:

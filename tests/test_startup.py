@@ -100,8 +100,8 @@ SUBCOMMAND_LAYERS = {
     "turan eta -r 2 -s 3": {"graphs"},
     "blowup --graph GRAPH -a 2 -t 1": {"graphs"},
     "experiment dense-subset --graph GRAPH -l 3 -r 2 --threshold 1": {"graphs"},
-    "bounds lemma4 -n 12 -k 2 -m 32 -t 3": {"bounds", "graphs"},
-    "bounds table --n-max 4 --k-max 2": {"bounds", "graphs"},
+    "bounds lemma4 -n 12 -k 2 -m 32 -t 3": {"bounds"},
+    "bounds table --n-max 4 --k-max 2": {"bounds"},
     "bounds union-check --family FAM -k 1 -t 2 --delta 1/4": {"bounds", "graphs"},
     "experiment union-prob --family FAM -t 2 --threshold 2": {"bounds", "graphs"},
     "bounds coverage --family FAM -k 2": {"bounds", "generate", "graphs"},
