@@ -17,11 +17,11 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in {
-        "families": "SetFamily canonical_generator canonical_partition canonical_size"
+        "families": "Estimate SetFamily canonical_generator canonical_partition canonical_size"
         " format_family make_family mask_from_elements parse_family trivial_lower_bound",
         "generate": "GeneratorVerdict decompose is_k_base is_k_generator reachable_layers",
         "search": "SearchReport min_generator_size verify_conjecture_range",
-        "graphs": "ErdosMaxReport Estimate Graph clique_density count_cliques"
+        "graphs": "ErdosMaxReport Graph clique_density count_cliques"
         " count_disjoint_tuples dense_subset_fraction disjointness_graph erdos_max_check"
         " find_blowup format_graph graph_from_edges parse_graph turan_blowup_graph"
         " turan_clique_closed_form turan_eta",

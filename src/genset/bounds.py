@@ -7,8 +7,8 @@ whenever n t/(k+1) is an integer. The Lemma 4 bound is an exact Fraction
 whenever delta is exact and n(1 - delta t) is an integer, and otherwise one
 mpmath expression that builds no exact integer. mpmath is imported only on
 those inexact branches (a non-integral power of two, or the log of an m that
-is not a power of two), so exact bounds never load it; only the bounds that
-count or sample members load the graphs layer.
+is not a power of two), so exact bounds never load it; only the coverage
+check, which counts disjoint tuples, loads the graphs layer.
 """
 
 from __future__ import annotations
@@ -19,18 +19,13 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .errors import DEFAULT_GRAPH_CAP, GensetError, refuse_past_digit_limit
 from .families import (
-    SetFamily,
-    canonical_size,
-    comb_log2_bounds,
-    trivial_lower_bound,
+    Estimate, SetFamily, canonical_size, comb_log2_bounds, subset_fraction, trivial_lower_bound,
 )
 
 PRECISION_BITS = 113
 
 if TYPE_CHECKING:
     import mpmath
-
-    from .graphs import Estimate
     Number = Union[Fraction, mpmath.mpf]
 
 
@@ -149,7 +144,6 @@ def small_union_probability(
                 hits += 1
         return hits
 
-    from .graphs import subset_fraction
     return subset_fraction(fam.members, t, count_small, trials, seed)
 
 
@@ -178,14 +172,9 @@ def union_bound_check(
     if t < 1:
         raise GensetError(f"need t >= 1, got {t}")
     n, m = fam.n, fam.m
-    if k < 1 or m < 1:
-        raise GensetError("n, k, m must all be >= 1")
-    threshold = n // (k + 1)
-    # The probability before delta: graphs, which it loads, is then compiled
-    # before mpmath is imported. Without cached bytecode the compiler's memory
-    # would otherwise add about 1 MiB to the peak RSS on top of mpmath.
-    prob = small_union_probability(fam, t, threshold, seed=seed, trials=trials)
     d = resolve_delta(n, k, m, delta)
+    threshold = n // (k + 1)
+    prob = small_union_probability(fam, t, threshold, seed=seed, trials=trials)
     analytic = analytic_union_bound(n, k, m, t)
     # m < 2^b for b = m.bit_length(), so an exponent of b or more is out of
     # regime, and 2^exponent is built only below 2^b.

@@ -276,6 +276,10 @@ def _sweep_csv(reports, timed: bool) -> str:
 
 def _cmd_search_min(args) -> int:
     from . import search as search_mod
+    given = {"-n": args.n, "-k": args.k, "--n-max": args.n_max, "--k-max": args.k_max}
+    for flag in ("-n", "-k") if args.sweep else ("--n-max", "--k-max"):  # the other mode's flags
+        if given[flag] is not None:
+            raise GensetError(f"{flag} {'cannot be used with' if args.sweep else 'requires'} --sweep")
     if args.sweep:
         if args.n_max is None or args.k_max is None:
             raise GensetError("--sweep requires --n-max and --k-max")

@@ -1,7 +1,7 @@
 """Ground-set and set-family representations, the canonical generator, and counting bounds.
 
-Also the mask primitives (bit and submask walks) and the text syntax (comments,
-'key=<value>' lines, sets) that the other layers and the CLI share.
+Also the mask primitives (bit and submask walks), the text syntax (comments, 'key=<value>'
+lines, sets) and the exact-or-sampled subset_fraction that the other layers and the CLI share.
 
 A subset of the ground set [n] = {1, ..., n} is stored as an int bitmask:
 element i corresponds to bit i-1, so {1, 3} is 0b101 = 5 and the empty set is 0.
@@ -9,13 +9,19 @@ element i corresponds to bit i-1, so {1, 3} is 0b101 = 5 and the empty set is 0.
 
 from __future__ import annotations
 
-from math import comb
-from typing import NamedTuple
+import itertools
+from math import comb, sqrt
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import FamilyFormatError, GensetError
+from .errors import CapExceeded, FamilyFormatError, GensetError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # A mask must fit one machine word; bit n-1 is the highest usable bit.
 MAX_GROUND_SET = 62
+# Most subsets an exact-mode subset walk enumerates.
+EXACT_BUDGET = 2_000_000
 
 SubsetMask = int
 
@@ -158,13 +164,53 @@ def comb_log2_bounds(m: int, t: int) -> tuple[int, int]:
     """Integers low <= log2 C(m, t) <= high for 0 <= t <= m, without building C(m, t).
 
     With s = min(t, m - t): (m/s)^s <= C(m, t) <= (e m/s)^s, and
-    2^(b - 1) <= m // s <= m/s < 2^b for b the bit length of m // s.
+    2^(b - 1) <= m // s <= m/s < 2^b for b the bit length of m // s. Near s = m/2,
+    C(m, s) >= 2^(m H(s/m)) / (m + 1), ln(1 + x) >= x/(1 + x) and log2 e > 10/7
+    give the larger low s (b - 1) + 10 s (m - s) / (7 m) - log2(m + 1).
     """
     s = min(t, m - t)
     if s == 0:
         return 0, 0
     b = (m // s).bit_length()
-    return s * (b - 1), s * (b + 2)  # log2 e < 2
+    entropy = s * (b - 1) + 10 * s * (m - s) // (7 * m) - (m + 1).bit_length()
+    return max(s * (b - 1), entropy), s * (b + 2)  # log2 e < 2
+
+
+class Estimate(NamedTuple):
+    """A fraction of subsets: exact over all of them, or from a seeded sample."""
+
+    value: Fraction | float
+    exact: bool
+    total: int  # subsets examined: C(len(pool), size), or the sample size
+    std_error: Optional[float] = None  # of a sampled value
+
+
+def subset_fraction(
+    pool, size: int, count_hits, trials: Optional[int] = None, seed: Optional[int] = None
+) -> Estimate:
+    """count_hits(subsets) over the number of size-subsets of pool it was given.
+
+    Exact mode (no trials) passes every C(len(pool), size) subset in itertools.combinations
+    order, refusing more than EXACT_BUDGET; sampling mode passes trials draws of
+    Random(seed).sample(pool, size) and reports the binomial standard error. Every process
+    loads this module, so each mode imports only what it uses: fractions or random.
+    """
+    if trials is None:
+        from fractions import Fraction
+        total = comb(len(pool), size)
+        if total > EXACT_BUDGET:
+            raise CapExceeded(
+                f"C({len(pool)},{size}) = {total} exceeds exact budget {EXACT_BUDGET}; use sampling"
+            )
+        return Estimate(Fraction(count_hits(itertools.combinations(pool, size)), total), True, total)
+    if trials < 1:
+        raise GensetError(f"trials must be >= 1, got {trials}")
+    if seed is None:
+        raise GensetError("sampling mode requires a seed")
+    import random
+    rng = random.Random(seed)
+    p_hat = count_hits(rng.sample(pool, size) for _ in range(trials)) / trials
+    return Estimate(p_hat, False, trials, sqrt(p_hat * (1 - p_hat) / trials))
 
 
 def format_family(fam: SetFamily) -> str:

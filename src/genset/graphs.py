@@ -6,23 +6,22 @@ Adjacency is one int bit row per vertex; all counting is exact.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
-from math import comb, perm, sqrt
+from math import comb, perm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DEFAULT_GRAPH_CAP, CapExceeded, FamilyFormatError, GensetError, WorkLimitExceeded,
     refuse_past_digit_limit,
 )
-from .families import SetFamily, _bits, _content_lines, _key_value, comb_log2_bounds
+from .families import (
+    Estimate, SetFamily, _bits, _content_lines, _key_value, comb_log2_bounds, subset_fraction,
+)
 
 DEFAULT_BLOWUP_CAP = 64
 # Most steps find_blowup takes; K_{32,32} with a = 3, t = 2 takes 744,096.
 DEFAULT_BLOWUP_WORK_LIMIT = 800_000
 DEFAULT_CLIQUE_WORK_LIMIT = 200_000_000
-# Most subsets an exact-mode subset walk enumerates.
-EXACT_BUDGET = 2_000_000
 # Labeled graphs on l vertices number 2^C(l, 2); l = 7 is 2^21.
 ERDOS_L_CAP = 7
 
@@ -321,41 +320,6 @@ def erdos_max_check(l: int, s: int, r: int) -> ErdosMaxReport:
     )
 
 
-class Estimate(NamedTuple):
-    """A fraction of subsets: exact over all of them, or from a seeded sample."""
-
-    value: Fraction | float
-    exact: bool
-    total: int  # subsets examined: C(len(pool), size), or the sample size
-    std_error: Optional[float] = None  # of a sampled value
-
-
-def subset_fraction(
-    pool, size: int, count_hits, trials: Optional[int] = None, seed: Optional[int] = None
-) -> Estimate:
-    """count_hits(subsets) over the number of size-subsets of pool it was given.
-
-    Exact mode (no trials) passes every C(len(pool), size) subset in
-    itertools.combinations order, refusing more than EXACT_BUDGET; sampling
-    mode passes trials draws of Random(seed).sample(pool, size) and reports
-    the binomial standard error.
-    """
-    if trials is None:
-        total = comb(len(pool), size)
-        if total > EXACT_BUDGET:
-            raise CapExceeded(
-                f"C({len(pool)},{size}) = {total} exceeds exact budget {EXACT_BUDGET}; use sampling"
-            )
-        return Estimate(Fraction(count_hits(itertools.combinations(pool, size)), total), True, total)
-    if trials < 1:
-        raise GensetError(f"trials must be >= 1, got {trials}")
-    if seed is None:
-        raise GensetError("sampling mode requires a seed")
-    rng = random.Random(seed)
-    p_hat = count_hits(rng.sample(pool, size) for _ in range(trials)) / trials
-    return Estimate(p_hat, False, trials, sqrt(p_hat * (1 - p_hat) / trials))
-
-
 def dense_subset_fraction(
     graph: Graph,
     l: int,
@@ -366,8 +330,7 @@ def dense_subset_fraction(
 ) -> Estimate:
     """Fraction of l-vertex subsets whose induced r-clique density reaches the threshold.
 
-    Exact mode enumerates all C(m, l) subsets (at most EXACT_BUDGET);
-    sampling mode draws the given number of subsets from a seeded RNG.
+    Exact, or from `sample` subsets drawn with `seed`, as families.subset_fraction.
     """
     m = graph.m
     if l > m:
@@ -382,9 +345,7 @@ def dense_subset_fraction(
         within = sum(1 << v for v in verts)
         return Fraction(count_cliques(graph, r, within=within), r_sets) >= threshold
 
-    return subset_fraction(
-        range(m), l, lambda subsets: sum(1 for verts in subsets if is_dense(verts)), sample, seed
-    )
+    return subset_fraction(range(m), l, lambda subsets: sum(map(is_dense, subsets)), sample, seed)
 
 
 def format_graph(graph: Graph) -> str:

@@ -466,6 +466,7 @@ class TestAnsweredInUnderASecond:
         ("turan eta -r 1000000 -s 1000000", 3),
         ("bounds lemma4 -n 10 -k 271830 -m 100001 -t 1", 0),
         ("bounds lemma4 -n 10 -k 1 -m 100000001 -t 10000000", 0),
+        ("bounds lemma4 -n 1000000 -k 1 -m 1000000 -t 500000 --delta 1/250000", 3),
         ("blowup --graph K32 -a 3 -t 3", 3),
         ("blowup --graph K32 -a 3 -t 4", 3),
         ("blowup --graph K32 -a 3 -t 16", 3),
@@ -498,6 +499,64 @@ class TestExperiment:
         )
         record = json.loads(proc.stdout)
         assert record["exact"] and record["subsets"] == 15
+
+
+class TestEmit:
+    def test_turan_graph_round_trips_through_graph_and_blowup(self, tmp_path, capsys):
+        path = str(tmp_path / "t32.txt")
+        assert cli.main(["--no-meta", "turan", "graph", "-s", "3", "-T", "2", "--emit", path]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "vertices": 6, "edges": 12, "s": 3, "T": 2, "written": path,
+        }
+        assert cli.main(["--no-meta", "graph", "--graph", path, "--count-cliques", "3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"vertices": 6, "edges": 12, "k3_count": 8}
+        assert cli.main(["--no-meta", "blowup", "--graph", path, "-a", "3", "-t", "2"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "a": 3, "t": 2, "found": True, "classes": [[0, 1], [2, 3], [4, 5]],
+        }
+
+    def test_disjointness_graph_round_trips(self, tmp_path, capsys, fam42):
+        path = str(tmp_path / "g42.txt")
+        assert cli.main(["--no-meta", "graph", "--family", fam42, "--emit", path]) == 0
+        assert json.loads(capsys.readouterr().out) == {"vertices": 6, "edges": 11, "written": path}
+        fam = families.parse_family(Path(fam42).read_text())
+        assert Path(path).read_text() == format_graph(graphs.disjointness_graph(fam))
+        assert cli.main(["--no-meta", "graph", "--graph", path]) == 0
+        assert json.loads(capsys.readouterr().out) == {"vertices": 6, "edges": 11}
+
+
+class TestUsageErrorsNamed:
+    """Each exits 2 with nothing on stdout and its cause on stderr."""
+
+    @pytest.fixture
+    def paths(self, fam42, tmp_path):
+        triangle, headless = tmp_path / "triangle.txt", tmp_path / "headless.txt"
+        triangle.write_text("vertices=4\n0 1\n0 2\n1 2\n")
+        headless.write_text("# no vertex count\n\n")
+        return {"FAM": fam42, "TRIANGLE": str(triangle), "HEADLESS": str(headless)}
+
+    @pytest.mark.parametrize("args,message", [
+        ("search-min --sweep --k-max 2", "error: --sweep requires --n-max and --k-max"),
+        ("search-min -k 2", "error: single search requires -n and -k"),
+        ("search-min --sweep --n-max 3 --k-max 2 -n 3", "error: -n cannot be used with --sweep"),
+        ("search-min --sweep --n-max 3 --k-max 2 -k 2", "error: -k cannot be used with --sweep"),
+        ("search-min -n 3 -k 2 --n-max 4", "error: --n-max requires --sweep"),
+        ("search-min -n 3 -k 2 --k-max 2", "error: --k-max requires --sweep"),
+        ("graph --graph HEADLESS", "input error: missing 'vertices=<m>' header"),
+        ("experiment dense-subset --graph TRIANGLE -l 5 -r 2 --threshold 1",
+         "error: l=5 exceeds vertex count 4"),
+        ("experiment dense-subset --graph TRIANGLE -l 2 -r 3 --threshold 1",
+         "error: need l >= r, got l=2, r=3"),
+        ("turan graph -s 0 -T 1", "error: need s >= 1 and T >= 1"),
+        ("turan closed-form -s 2 -T 1 -r 3", "error: need 1 <= r <= s, got r=3, s=2"),
+        ("experiment union-prob --family FAM -t 2 --threshold 99",
+         "error: threshold must lie in 0..4"),
+        ("bounds trivial -n 3 -k 4", "error: need 1 <= k <= n, got k=4, n=3"),
+        ("check --family FAM -k -1", "error: k must be >= 0"),
+    ])
+    def test_exit_two_with_message(self, capsys, paths, args, message):
+        assert cli.main(["--no-meta", *(paths.get(a, a) for a in args.split())]) == 2
+        assert capsys.readouterr() == ("", f"genset: {message}\n")
 
 
 class TestDeterminismAndConfig:

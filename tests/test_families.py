@@ -148,9 +148,22 @@ class TestCombLog2Bounds:
             low, high = comb_log2_bounds(m, t)
             assert 1 << low <= comb(m, t) <= 1 << high, (m, t)
 
+    @pytest.mark.parametrize("m", [100, 257, 1000, 4096, 10**4 + 1])
+    def test_brackets_the_binomial_across_t(self, m):
+        for t in sorted({1, 2, m // 10, m // 4, m // 3, m // 2 - 1, m // 2, m // 2 + 1, m - 1}):
+            low, high = comb_log2_bounds(m, t)
+            assert 1 << low <= comb(m, t) <= 1 << high, (m, t)
+
+    @pytest.mark.parametrize("m", [1000, 4096, 10**4 + 1])
+    def test_entropy_low_near_the_middle(self, m):
+        # (m/s)^s gives only m/2 bits at s = m/2; the entropy bound gives about 6 m / 7.
+        bits = comb(m, m // 2).bit_length() - 1
+        assert comb_log2_bounds(m, m // 2)[0] >= 0.8 * bits > m // 2
+
     def test_sized_without_building(self):
-        # C(10^8, 10^7) has some 4.7 10^7 bits; its bounds come from m // t alone.
-        assert comb_log2_bounds(10**8, 10**7) == (3 * 10**7, 6 * 10**7)
+        # C(10^8, 10^7) has some 4.7 10^7 bits; its bounds come from m // t and
+        # the entropy bound alone.
+        assert comb_log2_bounds(10**8, 10**7) == (42_857_115, 6 * 10**7)
 
 
 class TestTrivialLowerBound:
