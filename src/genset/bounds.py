@@ -54,14 +54,18 @@ def pow2(exponent: Fraction, scale: Fraction = Fraction(1)) -> BoundValue:
     )
 
 
+def _check_nkm(n: int, k: int, m: int) -> None:
+    if n < 1 or k < 1 or m < 1:
+        raise GensetError("n, k, m must all be >= 1")
+
+
 def resolve_delta(n: int, k: int, m: int, delta: Optional[Fraction] = None) -> BoundValue:
     """How far m sits above the 2^{n/(k+1)} scale: m = 2^{(1/(k+1) + delta) n}.
 
     A given delta is taken as it is; otherwise it is derived from m, exactly
     when m is a power of two.
     """
-    if n < 1 or k < 1 or m < 1:
-        raise GensetError("n, k, m must all be >= 1")
+    _check_nkm(n, k, m)
     if delta is not None:
         return BoundValue(Fraction(delta), True)
     if m & (m - 1) == 0:
@@ -167,21 +171,25 @@ def union_bound_check(
 
     In-regime means m >= 2^{(1/(k+1) + delta) n} with delta > 0; out-of-regime
     parameters are still evaluated, just flagged. A delta derived from m puts m
-    exactly at that scale.
+    exactly at that scale, so it is positive iff m^(k+1) > 2^n.
     """
     if t < 1:
         raise GensetError(f"need t >= 1, got {t}")
     n, m = fam.n, fam.m
-    d = resolve_delta(n, k, m, delta)
+    _check_nkm(n, k, m)
     threshold = n // (k + 1)
     prob = small_union_probability(fam, t, threshold, seed=seed, trials=trials)
     analytic = analytic_union_bound(n, k, m, t)
-    # m < 2^b for b = m.bit_length(), so an exponent of b or more is out of
-    # regime, and 2^exponent is built only below 2^b.
-    exponent = (Fraction(1, k + 1) + d.value) * n
-    in_regime = d.value > 0 and (
-        delta is None or exponent < m.bit_length() and m >= pow2(exponent).value
-    )
+    b = m.bit_length()
+    if delta is None:
+        # 2^(b-1) <= m < 2^b: (k+1)(b-1) > n puts m^(k+1) past 2^n, and
+        # otherwise m^(k+1) < 2^(n+k+1) is small to build.
+        in_regime = (k + 1) * (b - 1) > n or m ** (k + 1) > 1 << n
+    else:
+        # m < 2^b, so an exponent of b or more is out of regime, and
+        # 2^exponent is built only below 2^b.
+        exponent = (Fraction(1, k + 1) + delta) * n
+        in_regime = delta > 0 and exponent < b and m >= pow2(exponent).value
     # No side is rounded to a float: an mpf bound is compared as an mpf.
     if analytic.exact:
         holds = prob.value <= analytic.value

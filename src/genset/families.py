@@ -257,9 +257,12 @@ def _parse_set(text: str, n: int, where: str = "") -> SubsetMask:
         raise FamilyFormatError(f"{where}bad set {text!r}")
     if elems != sorted(set(elems)):
         raise FamilyFormatError(f"{where}elements must be strictly ascending")
-    if any(not 1 <= e <= n for e in elems):
+    if not 1 <= elems[0] <= elems[-1] <= n:  # ascending, so the ends bound the rest
         raise FamilyFormatError(f"{where}element out of range for n={n}")
-    return mask_from_elements(elems, n)
+    mask = 0
+    for e in elems:
+        mask |= 1 << e - 1
+    return mask
 
 
 def parse_family(text: str) -> SetFamily:

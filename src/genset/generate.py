@@ -10,21 +10,23 @@ x's chunk y misses g_hi and lands in chunk y | g_hi, and within it the low
 part moves by g_lo. With disj the bitmap of the 2^w low parts that miss g_lo,
 the update is
 
-    cur[y | g_hi] |= (below[y] & disj) << g_lo     for j = k..1, y within reach & ~g_hi
+    cur[y | g_hi] |= (below[y] & disj) << g_lo     for j = k..2, y within reach & ~g_hi
 
 where below and cur are layers j-1 and j, and reach is the union of the high
-parts of the members added so far: no other chunk of below is nonzero. A
-member costs 2^|reach & ~g_hi| small steps per layer instead of passes over
-2^n bits. The k-base table, where unions may overlap, is the same table with
-one more step: the source of chunk y | g_hi is the union of below[y | s] over
-s within g_hi, with the elements of g_lo then folded out of it (see
-add_member).
+parts of the members added so far: no other chunk of below is nonzero. Layer
+0 holds only the empty set, so layer 1 just gains bit g, set last so that
+every layer reads the one below as it was before g. A member costs
+2^|reach & ~g_hi| small steps per layer above 1 instead of passes over 2^n
+bits. The k-base table, where unions may overlap, is the same table with one
+more step: the source of chunk y | g_hi is the union of below[y | s] over s
+within g_hi, with the elements of g_lo then folded out of it (see add_member).
 
-Memory is the table itself: k+1 layers (k capped at n) of 2^n bits each, about
-(min(k, n) + 1) 2^n / 8 bytes as chunks. reachable_layers returns a read-only
-view of the chunks, and the verdict and decompose read them in place, so no
-2^n-bit int is built on the check path, not even on failure. Only indexing the
-view joins a layer into one int, for the caller that asks for it.
+Every k, 0 and 1 included, builds this one table in this one layout. Memory
+is at most the table's k+1 layers (k capped at n) of 2^n bits, about
+(min(k, n) + 1) 2^n / 8 bytes; a chunk that no union reaches stays the int 0.
+reachable_layers returns a read-only view of the chunks, and the verdict and
+decompose read them in place, so no 2^n-bit int is built on the check path,
+not even on failure. Only indexing the view joins a layer into one int.
 """
 
 from __future__ import annotations
@@ -58,32 +60,25 @@ def _disjoint_positions(g: SubsetMask, width: int) -> int:
     return block
 
 
-def _membership_bitmap(fam: SetFamily) -> int:
-    size = 1 << fam.n
-    buf = bytearray(size // 8 if size >= 8 else 1)
-    for g in fam.members:
-        buf[g >> 3] |= 1 << (g & 7)
-    return int.from_bytes(buf, "little")
-
-
 def add_member(
     table: list[int], g: SubsetMask, n: int, w: int, reach: int, overlap: bool = False
 ) -> None:
     """Extend a table of two or more layers in place by one nonempty member g.
 
     table lists the 2^(n-w) chunks of layer 0, then those of layer 1, and so
-    on; reach covers the chunk index of every nonzero chunk. With overlap the
-    unions may overlap (the k-base table), else they are disjoint.
+    on; reach covers the chunk index of every nonzero chunk. Layer 1 gains bit g;
+    each layer above takes the chunk step, its unions disjoint unless overlap.
     """
     chunks = 1 << n - w
     g_hi = g >> w
     g_lo = g ^ g_hi << w
-    disj = _disjoint_positions(g_lo, w)
-    ys = _submasks(reach & ~g_hi)
-    if overlap:
-        folds = _submasks(reach & g_hi)
-        shifts = [1 << b for b in _bits(g_lo)]
-    for cur in range(len(table) - chunks, 0, -chunks):
+    if len(table) > 2 * chunks:  # only a layer above 1 reads these
+        disj = _disjoint_positions(g_lo, w)
+        ys = _submasks(reach & ~g_hi)
+        if overlap:
+            folds = _submasks(reach & g_hi)
+            shifts = [1 << b for b in _bits(g_lo)]
+    for cur in range(len(table) - chunks, chunks, -chunks):
         lo, hi = cur - chunks, cur + g_hi
         for y in ys:
             if overlap:
@@ -102,6 +97,7 @@ def add_member(
                 below = table[lo + y]
             if below:
                 table[hi + y] |= (below & disj) << g_lo
+    table[chunks + g_hi] |= 1 << g_lo  # layer 0 holds only the empty set
 
 
 class Layers(Sequence):
@@ -166,16 +162,12 @@ def reachable_layers(
     if n > dp_cap:
         raise CapExceeded(f"n={n} exceeds DP cap {dp_cap} (2^n-bit tables)")
     top = min(k, n)
-    if top <= 1:
-        # Layer 1 is the members themselves, set in one pass over a buffer
-        # instead of one kernel step per member.
-        return Layers([1] + [1 | _membership_bitmap(fam)] * top, n, n)
     w = min(n, max(CHUNK_BITS, 3))
     chunks = 1 << n - w
     table = [0] * (top + 1) * chunks
     table[::chunks] = [1] * (top + 1)  # only the empty set so far
     reach = 0
-    for g in fam.members:
+    for g in fam.members if top else ():
         if g:
             add_member(table, g, n, w, reach, overlap)
             reach |= g >> w

@@ -173,11 +173,16 @@ def turan_eta(r: int, s: int) -> Fraction:
     """Limiting r-clique density of the balanced complete s-partite graph: s(s-1)...(s-r+1)/s^r.
 
     The product of the 1 - i/s is at most e^{-r(r-1)/(2s)}, so the reduced
-    denominator is at least 2^{r(r-1)/(2s ln 2)}, and ln 2 < 7/10.
+    denominator is at least 2^{r(r-1)/(2s ln 2)}, and ln 2 < 7/10. It is also
+    s^(r-1) / gcd(N, s^(r-1)) with N = (r-1)! C(s-1, r-1). That gcd is at most
+    (r-1)! < 2^((r-1) bitlen(r-1)) times p^v <= s - 1 for each of the fewer
+    than bitlen(s) primes p of s (by Kummer, v <= log_p(s-1)).
     """
     if not 1 <= r <= s:
         raise GensetError(f"need 1 <= r <= s, got r={r}, s={s}")
-    refuse_past_digit_limit(Fraction(5 * r * (r - 1), 7 * s))
+    b = s.bit_length()
+    by_gcd = (r - 1) * (b - 1 - (r - 1).bit_length()) - b * b
+    refuse_past_digit_limit(max(Fraction(5 * r * (r - 1), 7 * s), by_gcd))
     return Fraction(perm(s, r), s**r)
 
 

@@ -298,6 +298,12 @@ class TestUnionBoundCheck:
         b = union_bound_check(fam, 2, t=3, seed=7, trials=2000)
         assert a.probability.value == b.probability.value
 
+    def test_derived_delta_in_regime_is_m_to_the_k_plus_1_above_2_to_the_n(self):
+        # Around every 2^(9/(k+1)) scale, and far past it.
+        for k, m in itertools.product((1, 2, 3, 8), [*range(1, 40), 511]):
+            report = union_bound_check(make_family(9, range(1, m + 1)), k, t=1)
+            assert report.in_regime == (m ** (k + 1) > 2**9), (k, m)
+
     def test_k_zero_rejected(self):
         with pytest.raises(GensetError):
             union_bound_check(canonical_generator(4, 2), 0, t=1)

@@ -464,6 +464,8 @@ class TestAnsweredInUnderASecond:
         ("turan closed-form -s 3000000 -T 1000000000 -r 3000000", 3),
         ("turan eta -r 100000 -s 100000", 3),
         ("turan eta -r 1000000 -s 1000000", 3),
+        ("turan eta -r 100000 -s 10000000000", 3),
+        ("turan eta -r 30000 -s 1000000000", 3),
         ("bounds lemma4 -n 10 -k 271830 -m 100001 -t 1", 0),
         ("bounds lemma4 -n 10 -k 1 -m 100000001 -t 10000000", 0),
         ("bounds lemma4 -n 1000000 -k 1 -m 1000000 -t 500000 --delta 1/250000", 3),

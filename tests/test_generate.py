@@ -185,7 +185,7 @@ class TestReachableLayers:
         assert bitmap_to_set(layers[-1]) == set(range(8))
 
     def test_capped_layers_stop_at_n(self):
-        # A huge k costs no more than k = n, also on the layer-1 path (n = 1).
+        # A huge k costs no more than k = n, also at n = 1.
         fam = make_family(3, [0b001, 0b010, 0b100, 0b011])
         assert reachable_layers(fam, 10**6) == reachable_layers(fam, 3)
         assert reachable_layers(make_family(1, [0b1]), 10**6) == [1, 0b11]
@@ -352,6 +352,20 @@ class TestCheckPathNeverJoins:
             tracemalloc.stop()
         # Joining even one layer holds its bytes and its int at once: two layers.
         assert peak < table + (1 << n) // 8
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_singletons_at_k_below_2_build_no_whole_layer(self, k):
+        # The 28 singletons reach 16 of the 2^15 chunks of layer 1 at n = 28;
+        # a whole layer takes 32 MiB, and k = 0 adds no member at all.
+        fam = make_family(28, [1 << b for b in range(28)])
+        tracemalloc.start()
+        try:
+            verdict = is_k_generator(fam, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == (False, 0b1 if k == 0 else 0b11)
+        assert peak < 4 << 20
 
 
 class TestSmallestMissing:

@@ -3,7 +3,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import comb, perm, prod
+from math import comb, log2, perm, prod
 
 import pytest
 
@@ -339,6 +339,20 @@ class TestSizedBeforeBuilt:
             assert refused > 50
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_eta_size_never_exceeds_the_reduced_denominator(self, monkeypatch):
+        # Every s < 120 with every r, and powers of two and prime powers.
+        sized = []
+        monkeypatch.setattr(graphs, "refuse_past_digit_limit", sized.append)
+        pairs = [(r, s) for s in range(1, 120) for r in range(1, s + 1)]
+        pairs += [(r, s) for s in (256, 729, 1024, 2592, 3125, 4096) for r in range(1, s + 1, 7)]
+        gcd_wins = 0
+        for r, s in pairs:
+            den = turan_eta(r, s).denominator
+            low = sized.pop()
+            assert low < 1 or log2(den) >= low, (r, s)
+            gcd_wins += low > Fraction(5 * r * (r - 1), 7 * s)
+        assert gcd_wins > 500  # 683 pairs where the gcd bound is the larger
 
 
 class TestTuranBlowupGraph:

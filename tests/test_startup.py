@@ -169,6 +169,19 @@ class TestStartupLoadsOnlyWhatRuns:
         assert "genset.bounds" in modules
         assert not modules & (RECORD_MODULES | {"genset.graphs", "mpmath"})
 
+    def test_derived_delta_union_check_leaves_out_mpmath(self, tmp_path):
+        # m = 126 is no power of two, but whether the derived delta is positive
+        # is decided from integers: 126^3 > 2^12.
+        path = tmp_path / "canon12_2.txt"
+        path.write_text(format_family(canonical_generator(12, 2)))
+        status, lines, modules = loaded_after(
+            ["--no-meta", "bounds", "union-check", "--family", str(path), "-k", "2", "-t", "3"]
+        )
+        record = json.loads(lines[0])
+        assert status == 0 and record["m"] == 126 and record["in_regime"] is True
+        assert "genset.bounds" in modules
+        assert not modules & (RECORD_MODULES | {"genset.graphs", "mpmath"})
+
     def test_exact_bound_leaves_out_mpmath(self):
         status, lines, modules = loaded_after(
             ["--no-meta", "bounds", "lemma4", "-n", "12", "-k", "2", "-m", "32", "-t", "3"]
