@@ -73,6 +73,20 @@ def resolve_delta(n: int, k: int, m: int, delta: Optional[Fraction] = None) -> B
     return _inexact(lambda mp: mp.log(m, 2) / n - mp.mpf(1) / (k + 1))
 
 
+def _primes_log2_low(a: int, b: int) -> Fraction:
+    """A lower bound on log2 of the product of the primes p with a < p <= b.
+
+    Rosser and Schoenfeld (Illinois J. Math. 6, 1962): theta(b) > b (1 - 1/ln b)
+    for b >= 41 and theta(a) < 1.01624 a, where theta(x) sums ln p over the
+    primes p <= x. With ln b >= 0.693 (bitlen(b) - 1) and 1/ln 2 > 1.44; 0
+    where that proves nothing.
+    """
+    if b < 41:
+        return Fraction(0)
+    gap = b - Fraction(1000 * b, 693 * (b.bit_length() - 1)) - Fraction(101624, 100000) * a
+    return max(gap, Fraction(0)) * Fraction(144, 100)
+
+
 def lemma4_bound(n: int, k: int, m: int, t: int, delta: BoundValue) -> BoundValue:
     """(k+1) 2^{n(1-delta t)} C(m, t)^{k+1} / (k+1)!
 
@@ -97,6 +111,9 @@ def lemma4_bound(n: int, k: int, m: int, t: int, delta: BoundValue) -> BoundValu
             refuse_past_digit_limit(max(
                 exponent + (k + 1) * low - k * k.bit_length(),  # log2 of the numerator, at least
                 -(exponent + (k + 1) * high - k * (k.bit_length() - 3)),  # of the denominator
+                # A prime in (m, k] divides k! but neither C(m, t) nor a power
+                # of two, so it stays in the reduced denominator.
+                _primes_log2_low(max(m, 2), k),
             ))
         return pow2(exponent, Fraction((k + 1) * comb(m, t) ** (k + 1), factorial(k + 1)))
     whole, frac = divmod(exponent, 1)

@@ -26,12 +26,11 @@ is at most the table's k+1 layers (k capped at n) of 2^n bits, about
 (min(k, n) + 1) 2^n / 8 bytes; a chunk that no union reaches stays the int 0.
 reachable_layers returns a read-only view of the chunks, and the verdict and
 decompose read them in place, so no 2^n-bit int is built on the check path,
-not even on failure. Only indexing the view joins a layer into one int.
+not even on failure. Only indexing the view joins a layer's chunks into one int.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -76,11 +75,12 @@ def add_member(
         disj = _disjoint_positions(g_lo, w)
         ys = _submasks(reach & ~g_hi)
         if overlap:
-            folds = _submasks(reach & g_hi)
+            folds = _submasks(reach & g_hi)[:-1]  # s = 0, the last, is read as y
             shifts = [1 << b for b in _bits(g_lo)]
     for cur in range(len(table) - chunks, chunks, -chunks):
         lo, hi = cur - chunks, cur + g_hi
         for y in ys:
+            below = table[lo + y]
             if overlap:
                 # Chunk y | g_hi gathers the chunks y | s, s within g_hi. Then
                 # x | g_lo = (x & ~g_lo) + g_lo for a low part x, so fold the
@@ -88,25 +88,23 @@ def add_member(
                 # every t within g_lo, x & ~g_lo among them. Where x - t misses
                 # g_lo it shares no bit with t, so x = (x - t) | t with no
                 # borrow and x - t is exactly x & ~g_lo; disj keeps just those.
-                below = 0
                 for s in folds:
-                    below |= table[lo + y + s]
+                    chunk = table[lo + y + s]
+                    if chunk:  # a 0 from an unreached chunk would still copy below
+                        below |= chunk
                 for shift in shifts:
                     below |= below >> shift
-            else:
-                below = table[lo + y]
             if below:
                 table[hi + y] |= (below & disj) << g_lo
     table[chunks + g_hi] |= 1 << g_lo  # layer 0 holds only the empty set
 
 
-class Layers(Sequence):
+class Layers:
     """A read-only view of a reachable_layers table: item j is layer j, one 2^n-bit int.
 
-    The table stays in its chunks. Each item access joins that layer afresh
-    and keeps nothing, so a caller that indexes a layer holds the table plus
-    that layer; chunks and bit read the table in place. The view equals the
-    list of its layers.
+    chunks and bit read the table in place. Item j (a negative j counts from
+    the top) joins layer j afresh and keeps nothing, (2^w + 7) // 8 bytes per
+    chunk: whole chunks for w >= 3, and the one chunk of a table with w = n < 3.
     """
 
     __slots__ = ("_table", "_count", "w")
@@ -117,22 +115,10 @@ class Layers(Sequence):
     def __len__(self) -> int:
         return len(self._table) // self._count
 
-    def __getitem__(self, j):
-        j = range(len(self))[j]  # a negative j counts from the top; a slice gives a list
-        if isinstance(j, range):
-            return [self[i] for i in j]
-        if self._count == 1:
-            return self._table[j]
-        size = 1 << self.w - 3
-        data = bytearray(size * self._count)
-        for y, chunk in enumerate(self.chunks(j)):
-            data[y * size:(y + 1) * size] = chunk.to_bytes(size, "little")
-        return int.from_bytes(data, "little")
-
-    def __eq__(self, other):
-        if isinstance(other, Sequence):
-            return list(self) == list(other)
-        return NotImplemented
+    def __getitem__(self, j: int) -> int:
+        j = range(len(self))[j]
+        size = (1 << self.w) + 7 >> 3
+        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in self.chunks(j)), "little")
 
     def chunks(self, j: int) -> list[int]:
         """The chunks of layer j: chunk y holds the bits of the masks x with x >> w == y."""

@@ -469,6 +469,7 @@ class TestAnsweredInUnderASecond:
         ("bounds lemma4 -n 10 -k 271830 -m 100001 -t 1", 0),
         ("bounds lemma4 -n 10 -k 1 -m 100000001 -t 10000000", 0),
         ("bounds lemma4 -n 1000000 -k 1 -m 1000000 -t 500000 --delta 1/250000", 3),
+        ("bounds lemma4 -n 26500 -k 2700000 -m 1000000 -t 1 --delta 2", 3),
         ("blowup --graph K32 -a 3 -t 3", 3),
         ("blowup --graph K32 -a 3 -t 4", 3),
         ("blowup --graph K32 -a 3 -t 16", 3),

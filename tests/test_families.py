@@ -43,6 +43,11 @@ class TestMaskPrimitives:
             assert _bits(m) == shifted
             assert mask_elements(m) == [b + 1 for b in shifted]
 
+    @pytest.mark.parametrize("element", [0, 5])
+    def test_mask_from_elements_refuses_an_element_outside_n(self, element):
+        with pytest.raises(GensetError, match=rf"^element {element} outside ground set \[4\]$"):
+            mask_from_elements([1, element], 4)
+
 
 class TestMakeFamily:
     def test_all_nonempty_subsets_of_2(self):
