@@ -56,12 +56,12 @@ def _bound_json(bound) -> dict:
     return {"approx": float(bound.value), "exact": False, "precision_bits": PRECISION_BITS}
 
 
-def _emit(record: dict) -> None:
+def _emit(record: dict, prefix: str = "") -> None:
     try:
         line = json.dumps(record, sort_keys=True, allow_nan=False)
     except ValueError:  # an int past the int-to-str digit limit, or an infinite float
         raise CapExceeded("value too large to print") from None
-    print(line)
+    print(prefix + line)
 
 
 def _read_family(path: str) -> fam_mod.SetFamily:
@@ -467,7 +467,10 @@ def main(argv=None) -> int:
             parser.set_defaults(**_read_config(args.config))
             args = parser.parse_args(argv)
         if not args.no_meta:
-            _emit({"meta": {"tool": "genset", "version": __version__, "timestamp": time.time()}})
+            # A family written to stdout stays a family file: its meta record is a comment.
+            family_out = args.command == "construct" and not args.output
+            _emit({"meta": {"tool": "genset", "version": __version__, "timestamp": time.time()}},
+                  "# " if family_out else "")
         return _COMMANDS[args.command](args)
     except FamilyFormatError as exc:
         print(f"genset: input error: {exc}", file=sys.stderr)

@@ -5,10 +5,13 @@ asks whether some family of m nonempty subsets is a k-generator. At every node
 it finds the smallest mask x not yet expressible; any completion must add a
 new member that is a subset of x, so branching is restricted to those
 candidates, with earlier-tried candidates excluded in later branches so each
-family is visited at most once. A count prune cuts nodes that cannot reach
-2^n disjoint unions, and a symmetry rule tries one candidate per orbit under
-the permutations of the elements of x in no chosen non-singleton.
-"""
+family is visited at most once. A count prune cuts a child, before its table
+is built, when it cannot reach 2^n disjoint unions. A symmetry rule tries one
+candidate per orbit under the permutations of twins within x: elements that
+lie in exactly the same chosen non-singletons. Twins of a node are twins at
+every ancestor, so swapping two of them fixes the chosen members all the way
+up, and the argument that a failed sibling's orbit holds no completion
+carries over class by class (see _Searcher._dfs)."""
 
 from __future__ import annotations
 
@@ -20,9 +23,9 @@ from .errors import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, CapExceeded, Gense
 from .families import (
     SetFamily, _submasks, canonical_generator, canonical_size, trivial_lower_bound,
 )
-from .generate import _smallest_missing, add_member, is_k_generator
+from .generate import _disjoint_positions, _smallest_missing, add_member, is_k_generator
 
-# Checked before anything is allocated. (8,3) already takes minutes; n = 16
+# Checked before anything is allocated. (7,2) already takes 25 s; n = 16
 # keeps the 2^n-bit tables at 8 KiB, one chunk per layer (w = n).
 SEARCH_CAP = 16
 
@@ -48,9 +51,8 @@ class _Searcher:
     def __init__(self, n: int, k: int, node_budget: int, deadline: float):
         self.n, self.k = n, k
         self.size = 1 << n
-        # x -> the nonempty subsets of x, largest first, then ascending mask:
-        # the branching order.
-        self.cands: dict[int, list[int]] = {}
+        # (x, twin classes within x) -> the canonical candidates, in branching order.
+        self.cands: dict[tuple, list[int]] = {}
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
@@ -76,59 +78,89 @@ class _Searcher:
                     per_pair += ways
             self.need.append(self.size - base)
             self.per_pair.append(per_pair)
-        return self._dfs([1] * (k + 1), [], 0, 0, 0)
+        # A child is counted and, if cut, dropped before its table is built.
+        # The root, which holds only the empty set, is cut only below the
+        # counting bound.
+        self._count_node()
+        if self.need[0] > 1:
+            return None
+        full = self.size - 1
+        return self._dfs([1] * (k + 1), [], 0, (full,) if full & full - 1 else (), 0)
 
-    def _dfs(
-        self, layers: list[int], chosen: list[int], skip: int, touched: int, pairs: int
-    ) -> Optional[list[int]]:
-        # layers: the table of chosen. skip: bit g set if g is chosen or tried in
-        # an earlier branch. touched: the union of the non-singleton members of
-        # chosen. pairs: D_2, the number of disjoint pairs among chosen.
+    def _count_node(self) -> None:
         self.nodes += 1
         if self.nodes > self.node_budget or (
             self.nodes % 4096 == 0 and time.monotonic() > self.deadline
         ):
             raise _Budget
-        covered = layers[-1]
-        c = len(chosen)
-        if covered.bit_count() + self.per_pair[c] * pairs < self.need[c]:
-            return None
-        x = _smallest_missing(covered, self.n)  # smallest ungenerated mask
+
+    def _dfs(
+        self, layers: list[int], chosen: list[int], skip: int, twins: tuple, pairs: int
+    ) -> Optional[list[int]]:
+        # layers: the table of chosen. skip: bit g set if g is chosen or tried in
+        # an earlier branch. twins: the twin classes of two or more elements.
+        # pairs: D_2, the number of disjoint pairs among chosen.
+        x = _smallest_missing(layers[-1], self.n)  # smallest ungenerated mask
         if x is None:
             return chosen
         # Symmetry. Every proper subset of x is a smaller mask, so generated; a
         # singleton generates only itself, so every singleton of x is chosen.
-        # Swapping two elements of free (in x, in no chosen non-singleton) thus
-        # fixes chosen, the covered set and x. It maps the completions of this
+        # Two elements are twins when they lie in the same chosen
+        # non-singletons. Swapping two twins of x thus fixes chosen, the
+        # covered set and x; and twins of this node are twins at every
+        # ancestor, whose chosen sets are smaller, so the swap fixes each
+        # ancestor's chosen set and x too. It maps the completions of this
         # node onto themselves: were the image of one to hold a failed sibling
         # (tried here or at an ancestor, its branch returned None), take the
         # shallowest level with one and the earliest there, h0; the image is a
         # completion of h0's own branch, which found none. In an orbit of
         # completions, take one whose first member in branching order that is
-        # a subset of x ranks lowest: if its g & free were not the lowest
-        # popcount(g & free) bits of free, a swap would give that member a
-        # smaller mask and so a lower rank. Trying only such canonical g
-        # therefore misses no orbit.
-        free = x & ~touched
-        cands = self.cands.get(x)
+        # a subset of x ranks lowest. For each class C, if its g & C were not
+        # the lowest popcount(g & C) bits of C & x, a swap within C would give
+        # that member a smaller mask of the same size, so a lower rank. Trying
+        # only such canonical g therefore misses no orbit.
+        classes = tuple(t for t in (C & x for C in twins) if t & t - 1)
+        cands = self.cands.get((x, classes))
         if cands is None:
-            cands = self.cands[x] = sorted(_submasks(x)[:-1], key=lambda g: (-g.bit_count(), g))
+            cands = self.cands[x, classes] = _canonical_candidates(x, classes)
+        n, k = self.n, self.k
+        c = len(chosen) + 1
+        need, per_pair = self.need[c], self.per_pair[c]
+        members, below, covered = layers[1], layers[-2], layers[-1]
         for g in cands:
             if skip >> g & 1:
                 continue
-            gf = g & free
-            if (free ^ gf) & ((1 << gf.bit_length()) - 1):
-                continue
-            child = layers.copy()
-            add_member(child, g, self.n, self.n, 0)
-            wider = touched | g if g & (g - 1) else touched
-            # D_2 enters the count prune only for k >= 3.
-            more = [h & g for h in chosen].count(0) if self.k > 2 else 0
-            found = self._dfs(child, chosen + [g], skip | 1 << g, wider, pairs + more)
-            if found is not None:
-                return found
+            self._count_node()
+            # The child's top layer gains (below & disj) << g, as in add_member.
+            # D_2 enters the count prune only for k >= 3; layer 1 holds the
+            # empty set and the members, so more counts the chosen h missing g.
+            disj = _disjoint_positions(g, n)
+            more = (members & disj).bit_count() - 1 if k > 2 else 0
+            if (covered | (below & disj) << g).bit_count() + per_pair * (pairs + more) >= need:
+                child = layers.copy()
+                add_member(child, g, n, n, 0)
+                split = twins
+                if g & g - 1:
+                    split = tuple(t for C in twins for t in (C & g, C & ~g) if t & t - 1)
+                found = self._dfs(child, chosen + [g], skip | 1 << g, split, pairs + more)
+                if found is not None:
+                    return found
             skip |= 1 << g
         return None
+
+
+def _canonical_candidates(x: int, classes: tuple) -> list[int]:
+    """The nonempty subsets g of x, largest first, then ascending mask, with
+    g & C the lowest popcount(g & C) bits of C for each class C."""
+    cands = []
+    for g in sorted(_submasks(x)[:-1], key=lambda g: (-g.bit_count(), g)):
+        for C in classes:
+            gc = g & C
+            if (C ^ gc) & (1 << gc.bit_length()) - 1:
+                break
+        else:
+            cands.append(g)
+    return cands
 
 
 def _check_cap(n: int) -> None:

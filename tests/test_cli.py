@@ -185,6 +185,19 @@ class TestConstruct:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["holds"] is True
 
+    def test_construct_stdout_with_meta_feeds_check(self, tmp_path):
+        # The meta record of a family on stdout is a '#' comment line.
+        out = tmp_path / "f.txt"
+        made = run_cli("construct", "-n", "4", "-k", "2")
+        first, *family = made.stdout.splitlines()
+        assert made.returncode == 0 and first.startswith("# ")
+        assert json.loads(first[2:])["meta"]["tool"] == "genset"
+        assert family[0] == "n=4" and len(family) - 1 == 6
+        out.write_text(made.stdout)
+        proc = run_cli("check", "--family", str(out), "-k", "2")
+        meta, verdict = proc.stdout.splitlines()
+        assert proc.returncode == 0 and "meta" in json.loads(meta)
+        assert json.loads(verdict) == {"holds": True, "k": 2, "op": "is_k_generator"}
 
     def test_construct_above_cap_is_three(self):
         # 2^40 - 1 members would exhaust memory long before the timeout.
