@@ -244,12 +244,15 @@ class BoundTableRow(NamedTuple):
 
 
 def bound_table(n_range, k_range) -> list[BoundTableRow]:
-    """Comparison of the counting bound, both asymptotic constants, and the canonical size."""
+    """Comparison of the counting bound, both asymptotic constants, and the canonical size.
+
+    k_range ascends from k >= 1, so each n's rows stop at its first k > n.
+    """
     rows = []
     for n in n_range:
         for k in k_range:
-            if not 1 <= k <= n:
-                continue
+            if k > n:
+                break
             rows.append(
                 BoundTableRow(
                     n,

@@ -404,9 +404,10 @@ def _cmd_bounds(args) -> int:
             "holds": report.holds, "verified_generator": verdict.holds,
         })
         return EXIT_OK if report.holds or not verdict.holds else EXIT_PROPERTY_FAIL
-    rows = bounds_mod.bound_table(
-        range(args.n_min, args.n_max + 1), range(args.k_min, args.k_max + 1)
-    )
+    # Rows need 1 <= k <= n: n starts at the first k, and no n is walked without a k.
+    k_range = range(max(args.k_min, 1), args.k_max + 1)
+    n_range = range(max(args.n_min, k_range.start), args.n_max + 1 if k_range else 0)
+    rows = bounds_mod.bound_table(n_range, k_range)
     sys.stdout.write(_csv(
         ["n", "k", "trivial_bound", "weak_constant_bound", "strong_constant_bound", "canonical_size"],
         ([

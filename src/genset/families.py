@@ -122,11 +122,9 @@ def canonical_partition(n: int, k: int) -> tuple[SubsetMask, ...]:
 
 def canonical_generator(n: int, k: int) -> SetFamily:
     """Union over the partition classes of all their nonempty subsets."""
-    members: set[int] = set()
-    for cls in canonical_partition(n, k):
-        members.update(_submasks(cls))
-    members.discard(0)
-    return SetFamily(n, tuple(sorted(members)))
+    # Contiguous classes, lowest first: their submasks, ascending class by class, are in order.
+    parts = canonical_partition(n, k)
+    return SetFamily(n, tuple(g for cls in parts for g in _submasks(cls)[-2::-1]))
 
 
 def canonical_size(n: int, k: int) -> int:

@@ -199,7 +199,7 @@ def decompose(
     k = len(layers) - 1
     if not layers.bit(k, x):
         return None
-    members_desc = sorted((g for g in fam.members if g), reverse=True)
+    members_desc = [g for g in reversed(fam.members) if g]
     parts = []
     cur = x
     j = k

@@ -84,18 +84,14 @@ def _clique_profile(
     popcount tallies the (size+2)-cliques and the ints narrow as the walk goes
     down. The walk descends only while that size is below r.
 
-    Every vertex of rest is one step, charged on entry. A c-clique met on the
-    way has 2^c - 1 nonempty subsets, all of them steps, so a clique of more
-    than `deepest` vertices proves the limit exceeded before any deeper call.
+    Each vertex of rest is a step, charged on entry: one per clique of size 1
+    to r-1, at every r. A c-clique the walk meets has 2^c - 1 nonempty subsets,
+    all steps, so one of more than `deepest` vertices exceeds the limit at once.
     """
     if within is None:
-        if r <= 2:
-            return [1, len(rows), Graph(rows).edge_count()][: r + 1]
         within = (1 << len(rows)) - 1
-    elif r <= 1:
-        return [1, within.bit_count()][: r + 1]
     deepest = (work_limit + 1).bit_length() - 1  # largest c with 2^c - 1 <= work_limit
-    profile = [1, within.bit_count()] + [0] * (r - 1)
+    profile = ([1, within.bit_count()] + [0] * (r - 1))[: r + 1]
     work = 0
 
     def walk(rest: int, size: int) -> None:
@@ -123,7 +119,8 @@ def _clique_profile(
                     walk(ext, size + 1)
         profile[size + 2] += found
 
-    walk(within, 0)
+    if r >= 2:
+        walk(within, 0)
     return profile
 
 

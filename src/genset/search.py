@@ -231,7 +231,7 @@ def verify_conjecture_range(
     if k_max >= 1:
         _check_cap(n_max)  # before any case below the cap spends its budget
     reports = []
-    for k in range(1, k_max + 1):
+    for k in range(1, min(k_max, n_max) + 1):
         for n in range(k, n_max + 1):
             reports.append(
                 min_generator_size(n, k, node_budget=node_budget, time_budget=time_budget)

@@ -498,6 +498,26 @@ class TestAnsweredInUnderASecond:
             assert json.loads(out)["bound"]["exact"] is False
 
 
+class TestRangesWalkOnlyTheirCases:
+    """Each of these once walked every (n, k) of its range, k > n or n < 1 too, for seconds."""
+
+    @pytest.mark.parametrize("args,small", [
+        ("search-min --sweep --n-max 3 --k-max 100000000", "search-min --sweep --n-max 3 --k-max 3"),
+        ("bounds table --n-max 3 --k-max 100000000", "bounds table --n-max 3 --k-max 3"),
+        ("bounds table --n-min -30000000 --n-max 3 --k-max 3",
+         "bounds table --n-min 1 --n-max 3 --k-max 3"),
+        ("bounds table --n-max 100000000 --k-min 5 --k-max 3",
+         "bounds table --n-max 3 --k-min 5 --k-max 3"),
+    ])
+    def test_same_output_as_the_small_range(self, capsys, args, small):
+        assert cli.main(["--no-meta", *small.split()]) == 0
+        want = capsys.readouterr()
+        start = time.perf_counter()
+        assert cli.main(["--no-meta", *args.split()]) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == want
+
+
 class TestExperiment:
     def test_union_prob_exact(self, fam42):
         proc = run_cli(
@@ -785,6 +805,22 @@ _command = st.one_of(
     ),
     st.tuples(_tiny, _tiny, _tiny, _tiny, _with("--delta", _rational)).map(
         lambda p: ["bounds", "lemma4", "-n", p[0], "-k", p[1], "-m", p[2], "-t", p[3], *p[4]]
+    ),
+    st.tuples(_small, _small).map(lambda p: ["construct", "-n", p[0], "-k", p[1]]),
+    st.tuples(_with("-n", _small), _with("-k", _small)).map(
+        lambda p: ["search-min", *p[0], *p[1]]
+    ),
+    st.tuples(_with("--n-max", _small), _with("--k-max", _small)).map(
+        lambda p: ["search-min", "--sweep", *p[0], *p[1]]
+    ),
+    st.tuples(_small, _small).map(lambda p: ["turan", "eta", "-r", p[0], "-s", p[1]]),
+    st.tuples(_small, _small).map(lambda p: ["turan", "graph", "-s", p[0], "-T", p[1]]),
+    st.tuples(_small, _small, _small).map(
+        lambda p: ["turan", "closed-form", "-s", p[0], "-T", p[1], "-r", p[2]]
+    ),
+    st.tuples(_small, _small).map(lambda p: ["bounds", "trivial", "-n", p[0], "-k", p[1]]),
+    st.tuples(_with("--n-min", _small), _small, _with("--k-min", _small), _small).map(
+        lambda p: ["bounds", "table", *p[0], "--n-max", p[1], *p[2], "--k-max", p[3]]
     ),
 )
 

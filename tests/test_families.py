@@ -126,6 +126,14 @@ class TestCanonicalGenerator:
         assert set(fam.members) == expected
         assert fam.m == canonical_size(n, k)
 
+    def test_members_ascend_as_the_union_of_class_submasks(self):
+        for n in range(1, 15):
+            for k in range(1, n + 1):
+                members = canonical_generator(n, k).members
+                union = set().union(*map(_submasks, canonical_partition(n, k))) - {0}
+                assert all(a < b for a, b in zip(members, members[1:]))
+                assert set(members) == union
+
 
 class TestCanonicalSize:
     def test_divisible_case(self):

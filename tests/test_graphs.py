@@ -196,14 +196,15 @@ class TestCliqueWalk:
         m = 40 + 7 * seed  # 40..75 vertices: rows span several int digits
         g = random_graph(m, rng.uniform(0.3, 0.6), seed=seed)
         expected = clique_profile_by_sets(g, 6)
-        for r in range(3, 7):
+        for r in range(7):
             assert _clique_profile(g.rows, r, DEFAULT_CLIQUE_WORK_LIMIT) == expected[: r + 1]
 
     @pytest.mark.parametrize(
         "g,r",
         [(random_graph(50, 0.5, seed=7), 5), (random_graph(64, 0.4, seed=8), 4),
-         (complete_graph(16), 16), (turan_blowup_graph(5, 4), 5)],
-        ids=["random50", "random64", "complete16", "turan5x4"],
+         (complete_graph(16), 16), (turan_blowup_graph(5, 4), 5),
+         (random_graph(40, 0.5, seed=9), 2)],
+        ids=["random50", "random64", "complete16", "turan5x4", "random40_edges"],
     )
     def test_work_limit_is_the_step_count(self, g, r):
         # One step per clique of size 1..r-1, whatever the graph.
@@ -259,12 +260,17 @@ class TestCountDisjointTuplesAsCliques:
         assert count_disjoint_tuples(fam, 4) == 1 + 1023 + 28501 + 145750 + 246730 == 422005
 
     def test_pair_tests_are_charged_first(self, monkeypatch):
+        # The pairs, then the walk's one step per member: at k = 2 as at every k >= 3.
         fam = canonical_generator(8, 2)
         pairs = fam.m * (fam.m - 1) // 2
         expected = brute_disjoint_tuples(fam.members, 2)
-        monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_WORK_LIMIT", pairs)
+        monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_WORK_LIMIT", pairs + fam.m)
         assert count_disjoint_tuples(fam, 2) == expected
+        monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_WORK_LIMIT", pairs + fam.m - 1)
+        with pytest.raises(WorkLimitExceeded):
+            count_disjoint_tuples(fam, 2)
         monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_WORK_LIMIT", pairs - 1)
+        monkeypatch.setattr(graphs, "disjointness_graph", None)  # refused before any graph
         with pytest.raises(WorkLimitExceeded):
             count_disjoint_tuples(fam, 2)
 
