@@ -221,25 +221,21 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check(args) -> int:
     from . import generate as gen_mod
+    if args.base and args.decompose is not None:
+        # A witness is a disjoint split; plain check --decompose gives it.
+        raise GensetError("--decompose cannot be used with --base")
     fam = _read_family(args.family)
     target = None if args.decompose is None else fam_mod._parse_set(args.decompose, fam.n)
     status = EXIT_OK
-    layers = None
-    if args.base:
-        verdict = gen_mod.is_k_base(fam, args.k, dp_cap=args.dp_cap)
-        op = "is_k_base"
-    else:
-        layers = gen_mod.reachable_layers(fam, args.k, dp_cap=args.dp_cap)
-        verdict = gen_mod.verdict_from_layers(layers)
-        op = "is_k_generator"
+    layers = gen_mod.reachable_layers(fam, args.k, dp_cap=args.dp_cap, overlap=args.base)
+    verdict = gen_mod.verdict_from_layers(layers)
+    op = "is_k_base" if args.base else "is_k_generator"
     record = {"op": op, "k": args.k, "holds": verdict.holds}
     if not verdict.holds:
         record["counterexample"] = fam_mod.format_mask(verdict.counterexample)
         status = EXIT_PROPERTY_FAIL
     _emit(record)
     if target is not None:
-        if layers is None:
-            layers = gen_mod.reachable_layers(fam, args.k, dp_cap=args.dp_cap)
         dec = gen_mod.decompose(fam, layers, target)
         rec = {"op": "decompose", "target": fam_mod.format_mask(target), "found": dec is not None}
         if dec is not None:

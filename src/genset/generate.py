@@ -105,9 +105,10 @@ class Layers:
     chunks and bit read the table in place. Item j (a negative j counts from
     the top) joins layer j afresh and keeps nothing, (2^w + 7) // 8 bytes per
     chunk: whole chunks for w >= 3, and the one chunk of a table with w = n < 3.
+    overlap says whether the unions may overlap, that is, a k-base table.
     """
 
-    __slots__ = ("_table", "_count", "w")
+    __slots__ = ("_table", "_count", "w", "overlap")
 
     def __init__(self, table: list[int], n: int, w: int):
         self._table, self._count, self.w = table, 1 << n - w, w
@@ -157,7 +158,9 @@ def reachable_layers(
         if g:
             add_member(table, g, n, w, reach, overlap)
             reach |= g >> w
-    return Layers(table, n, w)
+    layers = Layers(table, n, w)
+    layers.overlap = overlap
+    return layers
 
 
 def _smallest_missing(covered: int, n: int) -> Optional[SubsetMask]:
@@ -191,33 +194,33 @@ def decompose(
 ) -> Optional[tuple[SubsetMask, ...]]:
     """A witness split of x into at most k disjoint nonempty members, if one exists.
 
-    layers is the table reachable_layers(fam, k), read bit by bit. Greedy
-    largest-first over its layers; returns the tuple of parts in descending
-    mask order (empty for x = 0), or None when x is not expressible.
+    layers is the table reachable_layers(fam, k), read bit by bit; a k-base
+    table raises GensetError. Greedy largest-first over its layers; returns the
+    parts in descending mask order (empty for x = 0), or None if x is not expressible.
     """
+    if layers.overlap:
+        raise GensetError("decompose needs a disjoint-union table, not a k-base one")
     check_mask(x, fam.n)
-    k = len(layers) - 1
-    if not layers.bit(k, x):
+    j = len(layers) - 1
+    if not layers.bit(j, x):
         return None
     members_desc = [g for g in reversed(fam.members) if g]
     parts = []
     cur = x
-    j = k
     while cur:
         if layers.bit(j - 1, cur):
             j -= 1
             continue
         for g in members_desc:
-            if g & ~cur:
-                continue
-            if layers.bit(j - 1, cur ^ g):
+            if not g & ~cur and layers.bit(j - 1, cur ^ g):
                 parts.append(g)
                 cur ^= g
                 j -= 1
                 break
         else:  # pragma: no cover - contradicts the DP recurrence
             raise AssertionError("DP table inconsistent with its own recurrence")
-    return tuple(sorted(parts, reverse=True))
+    # Every later part was valid at each earlier step, which took the largest one: parts descend.
+    return tuple(parts)
 
 
 def is_k_base(fam: SetFamily, k: int, dp_cap: int = DEFAULT_DP_CAP) -> GeneratorVerdict:

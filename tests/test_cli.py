@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -112,6 +113,7 @@ class TestExitCodes:
             ({}, ("--time-budget", "nan", "search-min", "-n", "3", "-k", "2")),
             ({}, ("--time-budget", "nan", "search-min", "--sweep", "--n-max", "3", "--k-max", "2")),
             ({"cfg": "time_budget=nan\n"}, ("--config", "{cfg}", "search-min", "-n", "3", "-k", "2")),
+            ({}, ("check", "--family", "{fam}", "-k", "2", "--base", "--decompose", "1,3")),
         ],
         ids=["config-value", "threads-key", "graph-header", "graph-edge",
              "decompose-token", "decompose-range", "decompose-descending",
@@ -122,7 +124,7 @@ class TestExitCodes:
              "union-check-trials-zero", "union-check-trials-negative",
              "union-check-delta-zero-denominator", "lemma4-delta-zero-denominator",
              "erdos-max-negative-l", "closed-form-negative-T", "time-budget-nan",
-             "sweep-time-budget-nan", "config-time-budget-nan"],
+             "sweep-time-budget-nan", "config-time-budget-nan", "base-decompose"],
     )
     def test_bad_input_is_two_with_nothing_on_stdout(self, tmp_path, fam42, files, args):
         paths = {"fam": fam42}
@@ -130,7 +132,16 @@ class TestExitCodes:
             path = tmp_path / name
             path.write_bytes(content if isinstance(content, bytes) else content.encode())
             paths[name] = str(path)
-        proc = run_cli("--no-meta", *(a.format(**paths) for a in args))
+        # Each input is refused before any DP table is built: building one exits 1.
+        no_table = (
+            "import sys; from genset import cli, generate; "
+            "generate.reachable_layers = lambda *a, **kw: sys.exit('built a table'); "
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", no_table, "--no-meta", *(a.format(**paths) for a in args)],
+            capture_output=True, text=True,
+        )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "Traceback" not in proc.stderr
 
@@ -228,16 +239,21 @@ class TestCheck:
         dec = records[1]
         assert dec["found"] and sorted(dec["parts"]) == ["1", "3,4"]
 
-    def test_decompose_builds_the_table_once(self, fam42, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "extra,overlap", [(("--decompose", "1,3,4"), False), (("--base",), True)],
+        ids=["decompose", "base"],
+    )
+    def test_decompose_builds_the_table_once(self, fam42, monkeypatch, capsys, extra, overlap):
         calls = []
         build = generate.reachable_layers
         monkeypatch.setattr(
-            generate, "reachable_layers", lambda *a, **kw: calls.append(a) or build(*a, **kw)
+            generate, "reachable_layers", lambda *a, **kw: calls.append(kw) or build(*a, **kw)
         )
-        args = ["--no-meta", "check", "--family", fam42, "-k", "2", "--decompose", "1,3,4"]
-        assert cli.main(args) == 0 and len(calls) == 1
-        verdict, dec = map(json.loads, capsys.readouterr().out.splitlines())
-        assert verdict["holds"] and sorted(dec["parts"]) == ["1", "3,4"]
+        assert cli.main(["--no-meta", "check", "--family", fam42, "-k", "2", *extra]) == 0
+        assert [kw.get("overlap", False) for kw in calls] == [overlap]
+        verdict, *dec = map(json.loads, capsys.readouterr().out.splitlines())
+        assert verdict["holds"] and verdict["op"] == ("is_k_base" if overlap else "is_k_generator")
+        assert [sorted(d["parts"]) for d in dec] == ([] if overlap else [["1", "3,4"]])
 
     def test_base_check(self, tmp_path):
         path = tmp_path / "overlap.txt"
@@ -265,7 +281,11 @@ class TestCheck:
 
     @pytest.mark.parametrize(
         "family,extra",
-        [("n=3\n1\n2\n3\n", ()), ("n=3\n1\n2,3\n", ()), ("n=3\n1,2\n2,3\n3\n", ("--base",))],
+        [
+            ("n=3\n1\n2\n3\n", ("--decompose", "1,3")),
+            ("n=3\n1\n2,3\n", ("--decompose", "1,3")),
+            ("n=3\n1,2\n2,3\n3\n", ("--base",)),
+        ],
         ids=["generator", "not-generator", "base"],
     )
     def test_huge_k_answers_like_k_equal_to_n(self, tmp_path, family, extra):
@@ -274,7 +294,7 @@ class TestCheck:
         # which would take hours (the timeout raises).
         path = tmp_path / "f.txt"
         path.write_text(family)
-        args = ("--no-meta", "check", "--family", str(path), *extra, "--decompose", "1,3")
+        args = ("--no-meta", "check", "--family", str(path), *extra)
         small = run_cli(*args, "-k", "3")
         huge = run_cli(*args, "-k", "1000000000", timeout=5)
         assert huge.returncode == small.returncode
@@ -730,6 +750,18 @@ def test_help_is_unchanged(monkeypatch, capsys, command):
         cli.main([*command.split(), "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == HELP[command]
+
+
+def test_readme_cli_lines_parse():
+    # Every `genset ...` line of the code block in README's CLI section.
+    section = (Path(__file__).parent.parent / "README.md").read_text().split("\n## CLI\n")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    lines = [line.split(" #")[0] for line in block.splitlines() if line.startswith("genset ")]
+    assert len(lines) == 17
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])  # argparse exits on a bad line
+        assert args.command == line.split()[1]
 
 
 _junk = st.text(max_size=8)

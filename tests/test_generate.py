@@ -433,6 +433,12 @@ class TestDecompose:
         fam = make_family(2, [0b01, 0b11])
         assert decompose(fam, reachable_layers(fam, 2), 0b10) is None
 
+    def test_base_table_is_refused(self):
+        # The base table covers {1,2,3} = {1,2} ∪ {2,3}; no disjoint split exists.
+        fam = make_family(3, [0b011, 0b110])
+        with pytest.raises(GensetError, match="k-base"):
+            decompose(fam, reachable_layers(fam, 2, overlap=True), 0b111)
+
     @settings(max_examples=200)
     @given(small_families, st.integers(0, 4), st.data())
     def test_witness_iff_table_marks_target(self, fam, k, data):
@@ -442,6 +448,7 @@ class TestDecompose:
         assert (dec is not None) == reachable
         if dec is not None:
             assert len(dec) <= k
+            assert all(a > b for a, b in zip(dec, dec[1:]))  # strictly descending
             union, seen = 0, 0
             for part in dec:
                 assert part in fam.members and part != 0

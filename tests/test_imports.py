@@ -1,7 +1,8 @@
-"""Every imported name is used, and every private helper is referenced.
+"""Every imported name is used, every private helper is referenced, and no check is an assert.
 
 The package and its tests carry no dead imports, and no module-level private
-function or constant of the package outlives its last use.
+function or constant of the package outlives its last use. No package module
+has an assert statement, which python -O removes: a check raises instead.
 """
 
 import ast
@@ -107,3 +108,25 @@ def test_every_private_definition_is_referenced():
         if name not in refs
     ]
     assert unreferenced == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """The line of every assert statement in source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_checker_flags_assert_statements_only():
+    source = (
+        "def f(x):\n"
+        "    assert x, 'gone under -O'\n"
+        "    if not x:\n"
+        "        raise AssertionError('kept under -O')\n"
+        "    return [y for y in x if (lambda: 0)() or y]\n"
+        "assert f\n"
+    )
+    assert assert_lines(source) == [2, 6]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_has_no_assert_statement(path):
+    assert assert_lines(path.read_text()) == []
