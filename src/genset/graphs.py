@@ -24,6 +24,13 @@ DEFAULT_BLOWUP_WORK_LIMIT = 800_000
 DEFAULT_CLIQUE_WORK_LIMIT = 200_000_000
 # Labeled graphs on l vertices number 2^C(l, 2); l = 7 is 2^21.
 ERDOS_L_CAP = 7
+# The clique walk's edge-count cache (see _clique_profile). An entry is charged
+# for a key of m bits, m // 7 bytes (an int holds 30 bits in 4 bytes), plus 160
+# for its dict slot, its count and the key's header.
+CLIQUE_CACHE_MIN_VERTICES = 4
+CLIQUE_CACHE_BYTES = 1 << 22
+CLIQUE_CACHE_ENTRY_BYTES = 160
+CLIQUE_CACHE_TRIAL = 1024
 
 
 class Graph(NamedTuple):
@@ -70,6 +77,15 @@ def disjointness_graph(fam: SetFamily, graph_cap: int = DEFAULT_GRAPH_CAP) -> Gr
     return Graph(tuple(rows))
 
 
+def _vertex_mask(m: int, within: Optional[int]) -> int:
+    """within, or all m vertices when it is None; a mask with a bit outside 0..m-1 is refused."""
+    if within is None:
+        return (1 << m) - 1
+    if within < 0 or within >> m:
+        raise GensetError(f"vertex mask {within} has bits outside the {m} vertices")
+    return within
+
+
 def _clique_profile(
     rows: Sequence[int], r: int, work_limit: int, within: Optional[int] = None
 ) -> list[int]:
@@ -84,27 +100,62 @@ def _clique_profile(
     popcount tallies the (size+2)-cliques and the ints narrow as the walk goes
     down. The walk descends only while that size is below r.
 
-    Each vertex of rest is a step, charged on entry: one per clique of size 1
-    to r-1, at every r. A c-clique the walk meets has 2^c - 1 nonempty subsets,
-    all steps, so one of more than `deepest` vertices exceeds the limit at once.
+    The last step (size + 2 == r) counts the edges among rest. For r >= 3 it
+    runs once per (r-2)-clique, and the same rest comes back often: in the
+    disjointness graph of an ascending family it is the members disjoint from
+    the clique's union that lie below its lowest member, which every clique
+    with that union and lowest member shares. So that step first looks rest up
+    in a dict of edge counts, and stores the count it makes on a miss:
+    - a rest of fewer than CLIQUE_CACHE_MIN_VERTICES vertices is counted about
+      as fast as it is looked up, so it is only counted;
+    - insertion stops once the entries would pass CLIQUE_CACHE_BYTES, each
+      charged as if its key had all m bits;
+    - a cache with fewer hits than entries at CLIQUE_CACHE_TRIAL entries, or
+      at any doubling past that, is emptied and no longer consulted, so a
+      graph whose rests do not repeat pays for about a thousand entries.
+    At r <= 2 the last step is the first and runs once; it is never cached.
+
+    Each vertex of rest is a step, charged on entry, whether or not the cache
+    answers: one per clique of size 1 to r-1, at every r. A c-clique the walk
+    meets has 2^c - 1 nonempty subsets, all steps, so one of more than
+    `deepest` vertices exceeds the limit at once.
     """
-    if within is None:
-        within = (1 << len(rows)) - 1
+    within = _vertex_mask(len(rows), within)
     deepest = (work_limit + 1).bit_length() - 1  # largest c with 2^c - 1 <= work_limit
-    profile = ([1, within.bit_count()] + [0] * (r - 1))[: r + 1]
+    profile = [1] + [0] * r
+    if r:
+        profile[1] = within.bit_count()
     work = 0
+    cache: Optional[dict[int, int]] = {} if r > 2 else None
+    hits = 0
 
     def walk(rest: int, size: int) -> None:
-        nonlocal work
-        work += rest.bit_count()
+        nonlocal work, cache, hits
+        count = rest.bit_count()
+        work += count
         if work > work_limit:
             raise WorkLimitExceeded("clique counting exceeded its work limit")
         found = 0
         if size + 2 == r:
+            cached = cache is not None and count >= CLIQUE_CACHE_MIN_VERTICES
+            if cached:
+                hit = cache.get(rest)
+                if hit is not None:
+                    hits += 1
+                    profile[r] += hit
+                    return
+                key = rest
             while rest:
                 v = rest.bit_length() - 1
                 rest ^= 1 << v
                 found += (rows[v] & rest).bit_count()
+            if cached:
+                held = len(cache)
+                if held < CLIQUE_CACHE_BYTES // (len(rows) // 7 + CLIQUE_CACHE_ENTRY_BYTES):
+                    cache[key] = found
+                    held += 1
+                    if held >= CLIQUE_CACHE_TRIAL and not held & (held - 1) and hits < held:
+                        cache = None
         else:
             while rest:
                 v = rest.bit_length() - 1
@@ -128,10 +179,12 @@ def count_cliques(graph: Graph, r: int, within: Optional[int] = None) -> int:
     """Exact number of r-cliques, by one walk that intersects bit rows down the vertex labels.
 
     With a vertex mask within, only the cliques of the subgraph it induces count.
+    A negative mask, or one with a bit at or above m, raises GensetError.
     """
     if r < 1:
         raise GensetError("r must be >= 1")
-    if r > (graph.m if within is None else within.bit_count()):
+    within = _vertex_mask(graph.m, within)
+    if r > within.bit_count():
         return 0
     return _clique_profile(graph.rows, r, DEFAULT_CLIQUE_WORK_LIMIT, within)[r]
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import shlex
@@ -516,6 +517,22 @@ class TestAnsweredInUnderASecond:
             assert out == "" and err.startswith("genset: budget exceeded: ")
         else:
             assert json.loads(out)["bound"]["exact"] is False
+
+    def test_kneser_16_3_four_cliques(self, capsys, tmp_path):
+        # 0.64 s in-process before the clique walk cached its last step's edge counts.
+        path = tmp_path / "kneser16_3.txt"
+        triples = [sum(1 << e for e in c) for c in itertools.combinations(range(16), 3)]
+        path.write_text(format_family(families.make_family(16, triples)))
+        args = ["--no-meta", "graph", "--family", str(path), "--count-cliques", "4", "--density", "4"]
+        start = time.perf_counter()
+        assert cli.main(args) == 0
+        assert time.perf_counter() - start < 1
+        record = json.loads(capsys.readouterr().out)
+        # Four disjoint triples, chosen in order then unordered.
+        count = comb(16, 3) * comb(13, 3) * comb(10, 3) * comb(7, 3) // 24
+        assert record["k4_count"] == count == 28_028_000
+        assert record["k4_density"]["rational"] == "15400/2227443"
+        assert Fraction(15400, 2227443) == Fraction(count, comb(560, 4))
 
 
 class TestRangesWalkOnlyTheirCases:

@@ -68,6 +68,11 @@ def random_graph(m, p, seed):
     return graph_from_edges(m, edges)
 
 
+def kneser_family(n, s):
+    """All s-subsets of [n]: the disjointness graph is the Kneser graph KG(n, s)."""
+    return make_family(n, [sum(1 << e for e in c) for c in itertools.combinations(range(n), s)])
+
+
 def complete_graph(m):
     full = (1 << m) - 1
     return Graph(tuple(full ^ (1 << v) for v in range(m)))
@@ -123,7 +128,7 @@ class TestDisjointnessGraph:
     @pytest.mark.parametrize(
         "fam",
         [
-            make_family(16, [sum(1 << e for e in c) for c in itertools.combinations(range(16), 3)]),
+            kneser_family(16, 3),
             make_family(10, range(1, 1 << 10)),
         ]
         + [
@@ -181,6 +186,19 @@ class TestCountCliques:
                 assert count_cliques(g, r, within=within) == count_cliques(sub, r), (size, r)
             assert count_cliques(g, 10**9, within=within) == 0
 
+    @pytest.mark.parametrize(
+        "r,within",
+        [(1, 0b1111111), (2, (1 << 6) | 3), (2, -1)],
+        ids=["seventh_vertex", "bit_past_m", "negative"],
+    )
+    def test_within_outside_the_vertices_is_refused(self, r, within):
+        # turan_blowup_graph(3, 2) has 6 vertices, so bit 6 and a negative mask name none.
+        g = turan_blowup_graph(3, 2)
+        with pytest.raises(GensetError):
+            count_cliques(g, r, within=within)
+        with pytest.raises(GensetError):
+            _clique_profile(g.rows, r, DEFAULT_CLIQUE_WORK_LIMIT, within)
+
     def test_closed_form_grid(self):
         for s in range(1, 6):
             for T in range(1, 7):
@@ -203,8 +221,8 @@ class TestCliqueWalk:
         "g,r",
         [(random_graph(50, 0.5, seed=7), 5), (random_graph(64, 0.4, seed=8), 4),
          (complete_graph(16), 16), (turan_blowup_graph(5, 4), 5),
-         (random_graph(40, 0.5, seed=9), 2)],
-        ids=["random50", "random64", "complete16", "turan5x4", "random40_edges"],
+         (random_graph(40, 0.5, seed=9), 2), (disjointness_graph(kneser_family(12, 3)), 4)],
+        ids=["random50", "random64", "complete16", "turan5x4", "random40_edges", "kneser12_3"],
     )
     def test_work_limit_is_the_step_count(self, g, r):
         # One step per clique of size 1..r-1, whatever the graph.
@@ -213,6 +231,44 @@ class TestCliqueWalk:
         assert _clique_profile(g.rows, r, steps) == expected
         with pytest.raises(WorkLimitExceeded):
             _clique_profile(g.rows, r, steps - 1)
+
+    # Graphs whose last-step rests repeat, so that the edge-count cache answers.
+    REPEATING = {
+        "kneser7_2": lambda: disjointness_graph(kneser_family(7, 2)),
+        "kneser9_3": lambda: disjointness_graph(kneser_family(9, 3)),
+        "kneser12_2": lambda: disjointness_graph(kneser_family(12, 2)),
+        "P6-empty": lambda: disjointness_graph(make_family(6, range(1, 1 << 6))),
+        "P7-empty": lambda: disjointness_graph(make_family(7, range(1, 1 << 7))),
+        "canonical8_2": lambda: disjointness_graph(canonical_generator(8, 2)),
+        "canonical9_3": lambda: disjointness_graph(canonical_generator(9, 3)),
+        "turan4x3": lambda: turan_blowup_graph(4, 3),
+        "turan6x4": lambda: turan_blowup_graph(6, 4),
+    }
+    # Cache settings: as shipped; no room (every lookup misses, nothing is
+    # stored); room for one entry (then full); dropped at its first entry;
+    # every rest of one vertex or more cached, on trial from the second entry.
+    CACHE_SETTINGS = {
+        "default": {},
+        "no_room": {"CLIQUE_CACHE_BYTES": 0},
+        "one_entry": {"CLIQUE_CACHE_BYTES": 150_000, "CLIQUE_CACHE_ENTRY_BYTES": 100_000},
+        "dropped": {"CLIQUE_CACHE_TRIAL": 1},
+        "all_rests": {"CLIQUE_CACHE_MIN_VERTICES": 1, "CLIQUE_CACHE_TRIAL": 2},
+    }
+
+    @pytest.mark.parametrize("setting", CACHE_SETTINGS)
+    @pytest.mark.parametrize("name", REPEATING)
+    def test_cached_walk_vs_set_enumeration(self, monkeypatch, name, setting):
+        for const, value in self.CACHE_SETTINGS[setting].items():
+            monkeypatch.setattr(graphs, const, value)
+        g = self.REPEATING[name]()
+        expected = clique_profile_by_sets(g, 6)
+        for r in range(7):
+            assert _clique_profile(g.rows, r, DEFAULT_CLIQUE_WORK_LIMIT) == expected[: r + 1], r
+        # Steps are charged whether or not the cache answers.
+        steps = sum(expected[1:6])
+        assert _clique_profile(g.rows, 6, steps) == expected
+        with pytest.raises(WorkLimitExceeded):
+            _clique_profile(g.rows, 6, steps - 1)
 
     @pytest.mark.parametrize("r", [30, 1050])
     def test_deep_clique_is_refused_not_recursed(self, r):
