@@ -1,16 +1,16 @@
 """Command-line surface: one subcommand per operation group, NDJSON/CSV output.
 
 Exit status: 0 success, 1 a checked property fails, 2 usage or input error,
-3 a cap or budget was exceeded, the printable range included: a value past the
-double range or Python's int-to-str digit limit is refused. Each handler
-imports the layers it runs, so a subcommand loads no other layer.
+3 a cap or budget was exceeded, the printable range and memory included: a
+value past the double range or Python's int-to-str digit limit is refused, as
+is an allocation the system refuses. Each handler imports the layers it runs,
+so a subcommand loads no other layer.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
@@ -246,17 +246,15 @@ def _cmd_check(args) -> int:
     return status
 
 
-def _csv(header: list, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _csv(header: list, rows) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
 
 
-def _sweep_csv(reports, timed: bool) -> str:
+def _sweep_csv(reports, timed: bool) -> None:
     """One CSV row per case; the wall-clock `seconds` column only when timed."""
-    return _csv(
+    _csv(
         ["n", "k", "trivial_bound", "canonical_size", "minimum", "conjecture_holds", "nodes"]
         + (["seconds"] if timed else []),
         ([
@@ -282,7 +280,7 @@ def _cmd_search_min(args) -> int:
         reports = search_mod.verify_conjecture_range(
             args.n_max, args.k_max, node_budget=args.node_budget, time_budget=args.time_budget
         )
-        sys.stdout.write(_sweep_csv(reports, timed=not args.no_meta))
+        _sweep_csv(reports, timed=not args.no_meta)
         return EXIT_BUDGET if any(not r.conclusive for r in reports) else EXIT_OK
     if args.n is None or args.k is None:
         raise GensetError("single search requires -n and -k")
@@ -404,14 +402,14 @@ def _cmd_bounds(args) -> int:
     k_range = range(max(args.k_min, 1), args.k_max + 1)
     n_range = range(max(args.n_min, k_range.start), args.n_max + 1 if k_range else 0)
     rows = bounds_mod.bound_table(n_range, k_range)
-    sys.stdout.write(_csv(
+    _csv(
         ["n", "k", "trivial_bound", "weak_constant_bound", "strong_constant_bound", "canonical_size"],
         ([
             row.n, row.k, row.trivial_bound,
             f"{row.weak_constant_bound:.6g}", f"{row.strong_constant_bound:.6g}",
             row.canonical_size,
         ] for row in rows),
-    ))
+    )
     return EXIT_OK
 
 
@@ -474,6 +472,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except CapExceeded as exc:
         print(f"genset: budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("genset: budget exceeded: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except GensetError as exc:
         print(f"genset: error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ element i corresponds to bit i-1, so {1, 3} is 0b101 = 5 and the empty set is 0.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from math import comb, sqrt
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -146,16 +147,10 @@ def trivial_lower_bound(n: int, k: int) -> int:
     def choices(m: int) -> int:
         return sum(comb(m, i) for i in range(k + 1))
 
-    lo, hi = 0, 1
+    hi = 1
     while choices(hi) < target:
         hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if choices(mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return bisect.bisect_left(range(hi + 1), target, key=choices)
 
 
 def comb_log2_bounds(m: int, t: int) -> tuple[int, int]:

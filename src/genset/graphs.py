@@ -293,8 +293,7 @@ def find_blowup(graph: Graph, a: int, t: int) -> Optional[list[tuple[int, ...]]]
         need = a - len(classes)
         if common.bit_count() < need * t:
             return None
-        cands = [v for v in range(min_start, m) if (common >> v) & 1]
-        for combo in itertools.combinations(cands, t):
+        for combo in itertools.combinations(_bits(common >> min_start << min_start), t):
             work += t + 1
             if work > DEFAULT_BLOWUP_WORK_LIMIT:
                 raise WorkLimitExceeded("blow-up search exceeded its work limit")
@@ -335,7 +334,7 @@ def erdos_max_check(l: int, s: int, r: int) -> ErdosMaxReport:
         raise GensetError(f"need l >= 0, got l={l}")
     if l > ERDOS_L_CAP:
         raise CapExceeded(f"l={l} exceeds enumeration cap {ERDOS_L_CAP}")
-    pairs = [(u, v) for u in range(l) for v in range(u + 1, l)]
+    pairs = list(itertools.combinations(range(l), 2))
     rows = [0] * l
     best = {"count": -1, "rows": tuple(rows), "leaves": 0}
 
@@ -386,6 +385,8 @@ def dense_subset_fraction(
     """Fraction of l-vertex subsets whose induced r-clique density reaches the threshold.
 
     Exact, or from `sample` subsets drawn with `seed`, as families.subset_fraction.
+    All the subsets' clique walks share one DEFAULT_CLIQUE_WORK_LIMIT: a walk
+    takes one step per clique of size 1 to r-1 that it meets.
     """
     m = graph.m
     if l > m:
@@ -395,10 +396,13 @@ def dense_subset_fraction(
     if r < 1:
         raise GensetError("r must be >= 1")
     r_sets = comb(l, r)
+    left = DEFAULT_CLIQUE_WORK_LIMIT
 
     def is_dense(verts) -> bool:
-        within = sum(1 << v for v in verts)
-        return Fraction(count_cliques(graph, r, within=within), r_sets) >= threshold
+        nonlocal left
+        profile = _clique_profile(graph.rows, r, left, sum(1 << v for v in verts))
+        left -= sum(profile[1:r])
+        return Fraction(profile[r], r_sets) >= threshold
 
     return subset_fraction(range(m), l, lambda subsets: sum(map(is_dense, subsets)), sample, seed)
 

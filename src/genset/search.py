@@ -16,6 +16,7 @@ carries over class by class (see _Searcher._dfs)."""
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from math import comb, isnan
 from typing import NamedTuple, Optional
 
@@ -51,8 +52,6 @@ class _Searcher:
     def __init__(self, n: int, k: int, node_budget: int, deadline: float):
         self.n, self.k = n, k
         self.size = 1 << n
-        # (x, twin classes within x) -> the canonical candidates, in branching order.
-        self.cands: dict[tuple, list[int]] = {}
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
@@ -120,14 +119,11 @@ class _Searcher:
         # that member a smaller mask of the same size, so a lower rank. Trying
         # only such canonical g therefore misses no orbit.
         classes = tuple(t for t in (C & x for C in twins) if t & t - 1)
-        cands = self.cands.get((x, classes))
-        if cands is None:
-            cands = self.cands[x, classes] = _canonical_candidates(x, classes)
         n, k = self.n, self.k
         c = len(chosen) + 1
         need, per_pair = self.need[c], self.per_pair[c]
         members, below, covered = layers[1], layers[-2], layers[-1]
-        for g in cands:
+        for g in _canonical_candidates(x, classes):
             if skip >> g & 1:
                 continue
             self._count_node()
@@ -149,6 +145,9 @@ class _Searcher:
         return None
 
 
+# Shared by every search in the process and unbounded: a sweep to n = k = 10
+# holds about 1,350 entries. Callers only read the list.
+@lru_cache(maxsize=None)
 def _canonical_candidates(x: int, classes: tuple) -> list[int]:
     """The nonempty subsets g of x, largest first, then ascending mask, with
     g & C the lowest popcount(g & C) bits of C for each class C."""

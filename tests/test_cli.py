@@ -67,6 +67,14 @@ class TestExitCodes:
         proc = run_cli("--no-meta", "--graph-cap", "2", "graph", "--family", fam42)
         assert proc.returncode == 3
 
+    def test_out_of_memory_is_three(self, tmp_path):
+        # 2^49 chunk slots: the system refuses the list at once, so nothing is allocated.
+        path = tmp_path / "empty62.txt"
+        path.write_text("n=62\n")
+        proc = run_cli("--no-meta", "--dp-cap", "62", "check", "--family", str(path), "-k", "0")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "genset: budget exceeded: out of memory\n"
+
     def test_missing_seed_for_sampling_is_two(self, fam42):
         proc = run_cli(
             "--no-meta", "experiment", "union-prob", "--family", fam42,

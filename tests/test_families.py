@@ -184,9 +184,18 @@ class TestTrivialLowerBound:
         # m=3 offers 7 < 8 choices; m=4 offers 11 >= 8
         assert trivial_lower_bound(3, 2) == 4
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 63))
     def test_k_equals_1(self, n):
+        # The largest m the bisection meets: n = 62 searches up to 2^62.
         assert trivial_lower_bound(n, 1) == 2**n - 1
+
+    def test_equals_a_linear_scan(self):
+        for n in range(1, 21):
+            for k in range(1, n + 1):
+                m = 0
+                while sum(comb(m, i) for i in range(k + 1)) < 2**n:
+                    m += 1
+                assert trivial_lower_bound(n, k) == m, (n, k)
 
     def test_10_2(self):
         assert trivial_lower_bound(10, 2) == 45

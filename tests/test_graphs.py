@@ -568,6 +568,15 @@ class TestDenseSubsetFraction:
         with pytest.raises(GensetError):
             dense_subset_fraction(g, 4, 2, Fraction(1, 2), sample=10)
 
+    def test_one_work_limit_for_all_subsets(self, monkeypatch):
+        # Each K_6 walk at r = 3 takes 6 + 15 = 21 steps, under the limit;
+        # the 28 subsets of K_8 together take 588.
+        monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_WORK_LIMIT", 500)
+        with pytest.raises(WorkLimitExceeded):
+            dense_subset_fraction(turan_blowup_graph(8, 1), 6, 3, Fraction(1, 2))
+        monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_WORK_LIMIT", 588)
+        assert dense_subset_fraction(turan_blowup_graph(8, 1), 6, 3, Fraction(1, 2)).value == 1
+
     def test_exact_budget(self):
         g = random_graph(30, 0.5, seed=0)  # C(30, 15) = 155,117,520 subsets
         with pytest.raises(CapExceeded):

@@ -150,6 +150,17 @@ class TestVerifyConjectureRange:
         assert len(reports) == 4 + 3
         assert all(r.conclusive and r.conjecture_holds for r in reports)
 
+    def test_shared_candidate_memo_changes_no_search_tree(self):
+        # The sweep's cases share one memo of canonical candidates; each
+        # separate search here starts from an empty one.
+        search._canonical_candidates.cache_clear()
+        swept = verify_conjecture_range(6, 4)
+        for rep in swept:
+            search._canonical_candidates.cache_clear()
+            alone = min_generator_size(rep.n, rep.k)
+            assert (alone.nodes_explored, alone.witness) == (rep.nodes_explored, rep.witness)
+        assert len(swept) == 6 + 5 + 4 + 3
+
     def test_inconclusive_entries_propagate(self):
         reports = verify_conjecture_range(5, 2, node_budget=3)
         assert any(not r.conclusive for r in reports)
