@@ -89,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tools for disjoint-union generators of the power set of [n].",
     )
     parser.add_argument("--no-meta", action="store_true", help="omit the timestamped meta record")
-    parser.add_argument("--config", help="key=value file overriding cap defaults")
     parser.add_argument("--dp-cap", type=int, default=errors.DEFAULT_DP_CAP,
                         help="max n for the 2^n union table (k-generator and k-base checks)")
     parser.add_argument("--graph-cap", type=int, default=errors.DEFAULT_GRAPH_CAP,
@@ -113,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-min", help="exact minimum k-generator size")
     p.add_argument("-n", type=int)
     p.add_argument("-k", type=int)
-    p.add_argument("--sweep", action="store_true", help="sweep all k <= k-max, k <= n <= n-max (CSV)")
-    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-max", type=int,
+                   help="with --k-max: sweep all k <= k-max, k <= n <= n-max (CSV)")
     p.add_argument("--k-max", type=int)
 
     p = sub.add_parser("graph", help="disjointness graph, clique counts and densities")
@@ -194,15 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: str) -> dict:
-    types = {"dp_cap": int, "graph_cap": int, "node_budget": int, "time_budget": float}
-    with open(path) as fh:
-        return dict(
-            fam_mod._key_value(lineno, line, types)
-            for lineno, line in fam_mod._content_lines(fh.read())
-        )
-
-
 def _cmd_construct(args) -> int:
     size = fam_mod.canonical_size(args.n, args.k)
     if size > CONSTRUCT_CAP:
@@ -270,13 +260,12 @@ def _sweep_csv(reports, timed: bool) -> None:
 
 def _cmd_search_min(args) -> int:
     from . import search as search_mod
-    given = {"-n": args.n, "-k": args.k, "--n-max": args.n_max, "--k-max": args.k_max}
-    for flag in ("-n", "-k") if args.sweep else ("--n-max", "--k-max"):  # the other mode's flags
-        if given[flag] is not None:
-            raise GensetError(f"{flag} {'cannot be used with' if args.sweep else 'requires'} --sweep")
-    if args.sweep:
+    if args.n_max is not None or args.k_max is not None:  # a sweep
+        for flag, value in (("-n", args.n), ("-k", args.k)):
+            if value is not None:
+                raise GensetError(f"{flag} cannot be used with --n-max or --k-max")
         if args.n_max is None or args.k_max is None:
-            raise GensetError("--sweep requires --n-max and --k-max")
+            raise GensetError("a sweep requires --n-max and --k-max")
         reports = search_mod.verify_conjecture_range(
             args.n_max, args.k_max, node_budget=args.node_budget, time_budget=args.time_budget
         )
@@ -454,13 +443,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            # The config replaces the parser's defaults, so a flag still beats it.
-            parser.set_defaults(**_read_config(args.config))
-            args = parser.parse_args(argv)
         if not args.no_meta:
             # A family written to stdout stays a family file: its meta record is a comment.
             family_out = args.command == "construct" and not args.output

@@ -1,7 +1,7 @@
 """Ground-set and set-family representations, the canonical generator, and counting bounds.
 
-Also the mask primitives (bit and submask walks), the text syntax (comments, 'key=<value>'
-lines, sets) and the exact-or-sampled subset_fraction that the other layers and the CLI share.
+Also the mask primitives (bit and submask walks), the text syntax (comments, 'key=<int>'
+headers, sets) and the exact-or-sampled subset_fraction that the other layers and the CLI share.
 
 A subset of the ground set [n] = {1, ..., n} is stored as an int bitmask:
 element i corresponds to bit i-1, so {1, 3} is 0b101 = 5 and the empty set is 0.
@@ -221,18 +221,13 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def _key_value(lineno: int, line: str, types: dict) -> tuple:
-    """(key, value) of a 'key=<value>' line, the value read by types[key].
-
-    A '-' in the key reads as '_'; a key not in types is an error.
-    """
-    key, _, value = line.partition("=")
-    key = key.strip().replace("-", "_")
-    if key not in types:
-        wanted = " or ".join(f"{k}=<{t.__name__}>" for k, t in types.items())
-        raise FamilyFormatError(f"line {lineno}: expected {wanted}, got {line!r}")
+def _key_value(lineno: int, line: str, key: str) -> int:
+    """The value of a 'key=<int>' line; any other key is an error."""
+    name, _, value = line.partition("=")
+    if name.strip() != key:
+        raise FamilyFormatError(f"line {lineno}: expected {key}=<int>, got {line!r}")
     try:
-        return key, types[key](value)
+        return int(value)
     except ValueError:
         raise FamilyFormatError(f"line {lineno}: bad value {value.strip()!r} for {key}")
 
@@ -268,7 +263,7 @@ def parse_family(text: str) -> SetFamily:
     masks = []
     for lineno, line in _content_lines(text):
         if n is None:
-            n = _key_value(lineno, line, {"n": int})[1]
+            n = _key_value(lineno, line, "n")
             check_ground_set(n)
         else:
             masks.append(_parse_set(line, n, f"line {lineno}: "))

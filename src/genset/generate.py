@@ -110,8 +110,8 @@ class Layers:
 
     __slots__ = ("_table", "_count", "w", "overlap")
 
-    def __init__(self, table: list[int], n: int, w: int):
-        self._table, self._count, self.w = table, 1 << n - w, w
+    def __init__(self, table: list[int], n: int, w: int, overlap: bool):
+        self._table, self._count, self.w, self.overlap = table, 1 << n - w, w, overlap
 
     def __len__(self) -> int:
         return len(self._table) // self._count
@@ -158,9 +158,7 @@ def reachable_layers(
         if g:
             add_member(table, g, n, w, reach, overlap)
             reach |= g >> w
-    layers = Layers(table, n, w)
-    layers.overlap = overlap
-    return layers
+    return Layers(table, n, w, overlap)
 
 
 def _smallest_missing(covered: int, n: int) -> Optional[SubsetMask]:

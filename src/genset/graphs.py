@@ -27,7 +27,6 @@ ERDOS_L_CAP = 7
 # The clique walk's edge-count cache (see _clique_profile). An entry is charged
 # for a key of m bits, m // 7 bytes (an int holds 30 bits in 4 bytes), plus 160
 # for its dict slot, its count and the key's header.
-CLIQUE_CACHE_MIN_VERTICES = 4
 CLIQUE_CACHE_BYTES = 1 << 22
 CLIQUE_CACHE_ENTRY_BYTES = 160
 CLIQUE_CACHE_TRIAL = 1024
@@ -106,8 +105,6 @@ def _clique_profile(
     the clique's union that lie below its lowest member, which every clique
     with that union and lowest member shares. So that step first looks rest up
     in a dict of edge counts, and stores the count it makes on a miss:
-    - a rest of fewer than CLIQUE_CACHE_MIN_VERTICES vertices is counted about
-      as fast as it is looked up, so it is only counted;
     - insertion stops once the entries would pass CLIQUE_CACHE_BYTES, each
       charged as if its key had all m bits;
     - a cache with fewer hits than entries at CLIQUE_CACHE_TRIAL entries, or
@@ -131,25 +128,23 @@ def _clique_profile(
 
     def walk(rest: int, size: int) -> None:
         nonlocal work, cache, hits
-        count = rest.bit_count()
-        work += count
+        work += rest.bit_count()
         if work > work_limit:
             raise WorkLimitExceeded("clique counting exceeded its work limit")
         found = 0
         if size + 2 == r:
-            cached = cache is not None and count >= CLIQUE_CACHE_MIN_VERTICES
-            if cached:
-                hit = cache.get(rest)
+            key = rest
+            if cache is not None:
+                hit = cache.get(key)
                 if hit is not None:
                     hits += 1
                     profile[r] += hit
                     return
-                key = rest
             while rest:
                 v = rest.bit_length() - 1
                 rest ^= 1 << v
                 found += (rows[v] & rest).bit_count()
-            if cached:
+            if cache is not None:
                 held = len(cache)
                 if held < CLIQUE_CACHE_BYTES // (len(rows) // 7 + CLIQUE_CACHE_ENTRY_BYTES):
                     cache[key] = found
@@ -422,7 +417,7 @@ def parse_graph(text: str, graph_cap: int = DEFAULT_GRAPH_CAP) -> Graph:
     edges = []
     for lineno, line in _content_lines(text):
         if m is None:
-            m = _key_value(lineno, line, {"vertices": int})[1]
+            m = _key_value(lineno, line, "vertices")
             if m < 0:
                 raise FamilyFormatError(f"line {lineno}: negative vertex count {m}")
             if m > graph_cap:

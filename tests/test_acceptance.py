@@ -230,7 +230,7 @@ def test_criterion_13_cli_determinism(tmp_path):
     invocations = [
         ("construct", "-n", "5", "-k", "2"),
         ("check", "--family", str(fam_path), "-k", "2", "--decompose", "1,3,4"),
-        ("search-min", "--sweep", "--n-max", "4", "--k-max", "2"),
+        ("search-min", "--n-max", "4", "--k-max", "2"),
         ("graph", "--family", str(fam_path), "--count-cliques", "2", "--density", "2"),
         ("turan", "eta", "-r", "2", "-s", "2"),
         ("turan", "erdos-max", "-l", "5", "-s", "2", "-r", "2"),

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import io
 import itertools
 import json
@@ -85,8 +87,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "files,args",
         [
-            ({"cfg": "dp_cap=abc\n"}, ("--config", "{cfg}", "check", "--family", "{fam}", "-k", "2")),
-            ({"cfg": "threads=2\n"}, ("--config", "{cfg}", "check", "--family", "{fam}", "-k", "2")),
+            ({"cfg": "graph_cap=2\n"}, ("--config", "{cfg}", "check", "--family", "{fam}", "-k", "2")),
+            ({}, ("search-min", "--sweep", "--n-max", "3", "--k-max", "2")),
             ({"g": "vertices=x\n"}, ("graph", "--graph", "{g}")),
             ({"g": "vertices=3\n0 a\n"}, ("graph", "--graph", "{g}")),
             ({}, ("check", "--family", "{fam}", "-k", "2", "--decompose", "1,a")),
@@ -120,11 +122,10 @@ class TestExitCodes:
             ({}, ("turan", "erdos-max", "-l", "-1", "-s", "2", "-r", "2")),
             ({}, ("turan", "closed-form", "-s", "2", "-T", "-1", "-r", "1")),
             ({}, ("--time-budget", "nan", "search-min", "-n", "3", "-k", "2")),
-            ({}, ("--time-budget", "nan", "search-min", "--sweep", "--n-max", "3", "--k-max", "2")),
-            ({"cfg": "time_budget=nan\n"}, ("--config", "{cfg}", "search-min", "-n", "3", "-k", "2")),
+            ({}, ("--time-budget", "nan", "search-min", "--n-max", "3", "--k-max", "2")),
             ({}, ("check", "--family", "{fam}", "-k", "2", "--base", "--decompose", "1,3")),
         ],
-        ids=["config-value", "threads-key", "graph-header", "graph-edge",
+        ids=["removed-config", "removed-sweep", "graph-header", "graph-edge",
              "decompose-token", "decompose-range", "decompose-descending",
              "decompose-repeated", "family-bytes",
              "dense-sample-zero", "dense-sample-negative", "dense-threshold-zero-denominator",
@@ -133,7 +134,7 @@ class TestExitCodes:
              "union-check-trials-zero", "union-check-trials-negative",
              "union-check-delta-zero-denominator", "lemma4-delta-zero-denominator",
              "erdos-max-negative-l", "closed-form-negative-T", "time-budget-nan",
-             "sweep-time-budget-nan", "config-time-budget-nan", "base-decompose"],
+             "sweep-time-budget-nan", "base-decompose"],
     )
     def test_bad_input_is_two_with_nothing_on_stdout(self, tmp_path, fam42, files, args):
         paths = {"fam": fam42}
@@ -181,7 +182,7 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
-        "args", [("-n", "40", "-k", "2"), ("--sweep", "--n-max", "40", "--k-max", "2")],
+        "args", [("-n", "40", "-k", "2"), ("--n-max", "40", "--k-max", "2")],
         ids=["single", "sweep"],
     )
     def test_search_above_cap_is_three(self, args):
@@ -320,14 +321,14 @@ class TestSearchMin:
         assert record["minimum"] == 6 and record["conjecture_holds"] is True
 
     def test_sweep_csv(self):
-        proc = run_cli("--no-meta", "search-min", "--sweep", "--n-max", "4", "--k-max", "2")
+        proc = run_cli("--no-meta", "search-min", "--n-max", "4", "--k-max", "2")
         lines = proc.stdout.splitlines()
         assert lines[0].startswith("n,k,trivial_bound,canonical_size,minimum")
         assert len(lines) == 1 + 4 + 3
 
     def test_sweep_times_cases_only_with_meta(self, capsys):
         # Wall-clock seconds would break byte-identical --no-meta reruns.
-        args = ["search-min", "--sweep", "--n-max", "3", "--k-max", "2"]
+        args = ["search-min", "--n-max", "3", "--k-max", "2"]
         assert cli.main(["--no-meta", *args]) == 0
         assert capsys.readouterr().out.splitlines()[0].split(",")[-1] == "nodes"
         assert cli.main(args) == 0
@@ -547,7 +548,7 @@ class TestRangesWalkOnlyTheirCases:
     """Each of these once walked every (n, k) of its range, k > n or n < 1 too, for seconds."""
 
     @pytest.mark.parametrize("args,small", [
-        ("search-min --sweep --n-max 3 --k-max 100000000", "search-min --sweep --n-max 3 --k-max 3"),
+        ("search-min --n-max 3 --k-max 100000000", "search-min --n-max 3 --k-max 3"),
         ("bounds table --n-max 3 --k-max 100000000", "bounds table --n-max 3 --k-max 3"),
         ("bounds table --n-min -30000000 --n-max 3 --k-max 3",
          "bounds table --n-min 1 --n-max 3 --k-max 3"),
@@ -617,12 +618,13 @@ class TestUsageErrorsNamed:
         return {"FAM": fam42, "TRIANGLE": str(triangle), "HEADLESS": str(headless)}
 
     @pytest.mark.parametrize("args,message", [
-        ("search-min --sweep --k-max 2", "error: --sweep requires --n-max and --k-max"),
+        ("search-min --k-max 2", "error: a sweep requires --n-max and --k-max"),
+        ("search-min --n-max 3", "error: a sweep requires --n-max and --k-max"),
         ("search-min -k 2", "error: single search requires -n and -k"),
-        ("search-min --sweep --n-max 3 --k-max 2 -n 3", "error: -n cannot be used with --sweep"),
-        ("search-min --sweep --n-max 3 --k-max 2 -k 2", "error: -k cannot be used with --sweep"),
-        ("search-min -n 3 -k 2 --n-max 4", "error: --n-max requires --sweep"),
-        ("search-min -n 3 -k 2 --k-max 2", "error: --k-max requires --sweep"),
+        ("search-min --n-max 3 --k-max 2 -n 3", "error: -n cannot be used with --n-max or --k-max"),
+        ("search-min --n-max 3 --k-max 2 -k 2", "error: -k cannot be used with --n-max or --k-max"),
+        ("search-min -n 3 -k 2 --n-max 4", "error: -n cannot be used with --n-max or --k-max"),
+        ("search-min -k 2 --k-max 2", "error: -k cannot be used with --n-max or --k-max"),
         ("graph --graph HEADLESS", "input error: missing 'vertices=<m>' header"),
         ("experiment dense-subset --graph TRIANGLE -l 5 -r 2 --threshold 1",
          "error: l=5 exceeds vertex count 4"),
@@ -640,12 +642,12 @@ class TestUsageErrorsNamed:
         assert capsys.readouterr() == ("", f"genset: {message}\n")
 
 
-class TestDeterminismAndConfig:
+class TestDeterminism:
     @pytest.mark.parametrize(
         "args",
         [
             ("construct", "-n", "5", "-k", "2"),
-            ("search-min", "--sweep", "--n-max", "4", "--k-max", "2"),
+            ("search-min", "--n-max", "4", "--k-max", "2"),
             ("turan", "erdos-max", "-l", "5", "-s", "2", "-r", "2"),
             ("bounds", "table", "--n-max", "6", "--k-max", "3"),
         ],
@@ -698,26 +700,6 @@ class TestDeterminismAndConfig:
         first = json.loads(proc.stdout.splitlines()[0])
         assert "meta" in first and "timestamp" in first["meta"]
 
-    def test_config_file_overrides_caps(self, tmp_path, fam42):
-        cfg = tmp_path / "caps.cfg"
-        cfg.write_text("graph-cap=2\n")
-        proc = run_cli("--no-meta", "--config", str(cfg), "graph", "--family", fam42)
-        assert proc.returncode == 3
-
-    def test_flag_beats_config(self, tmp_path, fam42):
-        cfg = tmp_path / "caps.cfg"
-        cfg.write_text("graph_cap=100\n")
-        cap, config = ["--graph-cap", "2"], ["--config", str(cfg)]
-        for flags in (cap + config, config + cap):
-            proc = run_cli("--no-meta", *flags, "graph", "--family", fam42)
-            assert (proc.returncode, proc.stdout) == (3, ""), flags
-
-    def test_unknown_config_key_rejected(self, tmp_path, fam42):
-        cfg = tmp_path / "caps.cfg"
-        cfg.write_text("bogus=1\n")
-        proc = run_cli("--no-meta", "--config", str(cfg), "graph", "--family", fam42)
-        assert proc.returncode == 2
-
 
 class TestCapDefaults:
     def test_parser_defaults_are_the_module_constants(self):
@@ -728,13 +710,10 @@ class TestCapDefaults:
         assert args.time_budget == errors.DEFAULT_TIME_BUDGET == search.DEFAULT_TIME_BUDGET
 
     @pytest.mark.parametrize("command", ["graph", "turan graph", "blowup"])
-    @pytest.mark.parametrize("source", ["default", "flag", "config"])
+    @pytest.mark.parametrize("source", ["default", "flag"])
     def test_graph_cap_applies(self, tmp_path, capsys, command, source):
         cap = graphs.DEFAULT_GRAPH_CAP if source == "default" else 4
-        cfg = tmp_path / "caps.cfg"
-        cfg.write_text(f"graph_cap={cap}\n")
-        options = {"default": [], "flag": ["--graph-cap", str(cap)],
-                   "config": ["--config", str(cfg)]}[source]
+        options = {"default": [], "flag": ["--graph-cap", str(cap)]}[source]
         for vertices in (cap, cap + 1):
             path = tmp_path / "g.txt"
             path.write_text(f"vertices={vertices}\n")
@@ -748,14 +727,11 @@ class TestCapDefaults:
             refused = (status, out) == (3, "") and f"exceed graph cap {cap}" in err
             assert refused is (vertices > cap), (vertices, status, err)
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_coverage_graph_cap_applies(self, tmp_path, capsys, fam42, source):
+    def test_coverage_graph_cap_applies(self, capsys, fam42):
         # canonical(4,2) has 6 members, so its disjointness graph has 6 vertices.
         for cap in (5, 6):
-            cfg = tmp_path / "caps.cfg"
-            cfg.write_text(f"graph_cap={cap}\n")
-            options = {"flag": ["--graph-cap", str(cap)], "config": ["--config", str(cfg)]}[source]
-            status = cli.main(["--no-meta", *options, "bounds", "coverage", "--family", fam42, "-k", "2"])
+            status = cli.main(["--no-meta", "--graph-cap", str(cap),
+                               "bounds", "coverage", "--family", fam42, "-k", "2"])
             out, err = capsys.readouterr()
             refused = (status, out) == (3, "") and f"exceeds graph cap {cap}" in err
             assert refused is (cap < 6), (cap, status, err)
@@ -789,6 +765,25 @@ def test_readme_cli_lines_parse():
         assert args.command == line.split()[1]
 
 
+def test_every_option_is_read():
+    # An option whose value cli.py never reads as args.<dest> does nothing.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    dests, parsers = set(), [cli.build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            if not isinstance(action, argparse._HelpAction):
+                dests.add(action.dest)
+    assert {"no_meta", "command", "n_max", "action", "threshold"} <= dests  # every subparser walked
+    assert sorted(dests - read) == []
+
+
 _junk = st.text(max_size=8)
 _number = st.integers(-2, 9).map(str)
 _set_text = st.lists(st.one_of(_number, _junk), min_size=1, max_size=4).map(",".join)
@@ -808,12 +803,6 @@ _graph_text = _text(
     st.one_of(st.integers(-1, 7).map("vertices={}".format), _junk),
     st.one_of(st.tuples(_number, _number).map(" ".join), _junk),
 )
-_config_key = st.sampled_from(
-    ["dp_cap", "dp-cap", "base_cap", "graph_cap", "node_budget", "time_budget", "threads", "bogus"]
-)
-_config_text = st.lists(
-    st.one_of(st.tuples(_config_key, st.one_of(_number, _junk)).map("=".join), _junk), max_size=3
-).map("\n".join)
 _small = st.integers(-1, 4).map(str)
 _tiny = st.integers(-1, 3).map(str)
 _rational = st.one_of(
@@ -868,7 +857,7 @@ _command = st.one_of(
         lambda p: ["search-min", *p[0], *p[1]]
     ),
     st.tuples(_with("--n-max", _small), _with("--k-max", _small)).map(
-        lambda p: ["search-min", "--sweep", *p[0], *p[1]]
+        lambda p: ["search-min", *p[0], *p[1]]
     ),
     st.tuples(_small, _small).map(lambda p: ["turan", "eta", "-r", p[0], "-s", p[1]]),
     st.tuples(_small, _small).map(lambda p: ["turan", "graph", "-s", p[0], "-T", p[1]]),
@@ -884,17 +873,14 @@ _command = st.one_of(
 
 class TestExitContractFuzz:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(_family_text, _graph_text, _config_text, st.booleans(), _command)
-    def test_exit_code_contract(
-        self, tmp_path_factory, fam_text, graph_text, cfg_text, use_cfg, command
-    ):
+    @given(_family_text, _graph_text, _command)
+    def test_exit_code_contract(self, tmp_path_factory, fam_text, graph_text, command):
         work = tmp_path_factory.mktemp("fuzz")
         paths = {}
-        for name, text in (("FAM", fam_text), ("GRAPH", graph_text), ("CFG", cfg_text)):
+        for name, text in (("FAM", fam_text), ("GRAPH", graph_text)):
             paths[name] = str(work / name)
             (work / name).write_text(text)
-        argv = ["--no-meta", *(["--config", paths["CFG"]] if use_cfg else [])]
-        argv += [paths.get(a, a) for a in command]
+        argv = ["--no-meta", *(paths.get(a, a) for a in command)]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:

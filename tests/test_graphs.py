@@ -246,13 +246,13 @@ class TestCliqueWalk:
     }
     # Cache settings: as shipped; no room (every lookup misses, nothing is
     # stored); room for one entry (then full); dropped at its first entry;
-    # every rest of one vertex or more cached, on trial from the second entry.
+    # on trial from the second entry.
     CACHE_SETTINGS = {
         "default": {},
         "no_room": {"CLIQUE_CACHE_BYTES": 0},
         "one_entry": {"CLIQUE_CACHE_BYTES": 150_000, "CLIQUE_CACHE_ENTRY_BYTES": 100_000},
         "dropped": {"CLIQUE_CACHE_TRIAL": 1},
-        "all_rests": {"CLIQUE_CACHE_MIN_VERTICES": 1, "CLIQUE_CACHE_TRIAL": 2},
+        "all_rests": {"CLIQUE_CACHE_TRIAL": 2},
     }
 
     @pytest.mark.parametrize("setting", CACHE_SETTINGS)

@@ -95,7 +95,7 @@ SUBCOMMAND_LAYERS = {
     "check --family FAM -k 2": {"generate"},
     "check --family FAM -k 2 --base": {"generate"},
     "search-min -n 4 -k 2": {"generate", "search"},
-    "search-min --sweep --n-max 3 --k-max 2": {"generate", "search"},
+    "search-min --n-max 3 --k-max 2": {"generate", "search"},
     "graph --family FAM --count-cliques 3": {"graphs"},
     "turan eta -r 2 -s 3": {"graphs"},
     "blowup --graph GRAPH -a 2 -t 1": {"graphs"},
