@@ -736,6 +736,20 @@ class TestCapDefaults:
             refused = (status, out) == (3, "") and f"exceeds graph cap {cap}" in err
             assert refused is (cap < 6), (cap, status, err)
 
+    @pytest.mark.parametrize("flag,tight,loose,argv", [
+        ("--dp-cap", "3", "4", ["check", "--family", "FAM", "-k", "2"]),
+        ("--node-budget", "1", "100000", ["search-min", "-n", "5", "-k", "2"]),
+        ("--node-budget", "1", "100000", ["search-min", "--n-max", "5", "--k-max", "2"]),
+        # The clock is read every 4096 nodes; (7,3) takes 11,733.
+        ("--time-budget", "0", "600", ["search-min", "-n", "7", "-k", "3"]),
+    ], ids=["dp-cap", "node-budget", "node-budget-sweep", "time-budget"])
+    def test_cap_flag_applies(self, capsys, fam42, flag, tight, loose, argv):
+        argv = [fam42 if a == "FAM" else a for a in argv]
+        for value, expected in ((tight, 3), (loose, 0)):
+            status = cli.main(["--no-meta", flag, value, *argv])
+            err = capsys.readouterr().err
+            assert status == expected, (value, err)
+
 
 # Help texts of the parser, printed at 80 columns by Python 3.11's argparse. They
 # show no defaults, so where a cap's default is defined leaves them unchanged.

@@ -227,6 +227,15 @@ class TestFamilyFileFormat:
         with pytest.raises(FamilyFormatError):
             parse_family("1,2\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("m=3\n", "line 1: expected n=<int>, got 'm=3'"),
+        ("# c\nn=x\n", "line 2: bad value 'x' for n"),
+    ], ids=["wrong-key", "bad-value"])
+    def test_header_error_message(self, text, message):
+        with pytest.raises(FamilyFormatError) as info:
+            parse_family(text)
+        assert str(info.value) == message
+
     def test_unsorted_elements_rejected(self):
         with pytest.raises(FamilyFormatError):
             parse_family("n=3\n3,1\n")

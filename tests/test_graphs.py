@@ -594,6 +594,17 @@ class TestGraphFileFormat:
         with pytest.raises(FamilyFormatError):
             parse_graph("0 1\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("edges=3\n", "line 1: expected vertices=<int>, got 'edges=3'"),
+        ("\nvertices = 3.5\n", "line 2: bad value '3.5' for vertices"),
+    ], ids=["wrong-key", "bad-value"])
+    def test_header_error_message(self, text, message):
+        from genset import FamilyFormatError
+
+        with pytest.raises(FamilyFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
     def test_bad_edge(self):
         from genset import FamilyFormatError
 
