@@ -83,8 +83,15 @@ def _write_graph(graph_mod, g, path, record: dict) -> None:
         record["written"] = path
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes each option only as spelt: no prefix of it. Subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="genset",
         description="Exact tools for disjoint-union generators of the power set of [n].",
     )

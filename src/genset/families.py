@@ -257,7 +257,10 @@ def parse_family(text: str) -> SetFamily:
     """Strict parser for the family file format.
 
     Comments start with '#'; blank lines are skipped; elements must be
-    ascending and in range. Duplicate member lines are deduplicated.
+    ascending and in range. Duplicate member lines are deduplicated. A token
+    spelt str(e) for an element e of [n] is read through one dict; a line with
+    any other token, or out of order, goes to _parse_set, which reads it or
+    raises the line's error.
     """
     n = None
     masks = []
@@ -265,8 +268,17 @@ def parse_family(text: str) -> SetFamily:
         if n is None:
             n = _key_value(lineno, line, "n")
             check_ground_set(n)
-        else:
-            masks.append(_parse_set(line, n, f"line {lineno}: "))
+            bit = {str(e): 1 << e - 1 for e in range(1, n + 1)}
+            continue
+        mask = prev = 0
+        for tok in line.split(","):
+            b = bit.get(tok, 0)
+            if b <= prev:  # not an element as str(e) spells it, or not above the last
+                mask = _parse_set(line, n, f"line {lineno}: ")
+                break
+            mask |= b
+            prev = b
+        masks.append(mask)
     if n is None:
         raise FamilyFormatError("missing 'n=<int>' header")
     return make_family(n, masks)

@@ -24,6 +24,11 @@ within g_hi, with the elements of g_lo then folded out of it (see add_member).
 Every k, 0 and 1 included, builds this one table in this one layout. Memory
 is at most the table's k+1 layers (k capped at n) of 2^n bits, about
 (min(k, n) + 1) 2^n / 8 bytes; a chunk that no union reaches stays the int 0.
+A full chunk, every mask of it reached, is one shared all-ones int per width
+(_full_chunk), so it costs a pointer and the bound counts only the chunks that
+are not full. A step into a full chunk adds nothing, and add_member skips it
+before it reads or gathers the step's source: a member does no big-int work on
+a layer that has filled.
 reachable_layers returns a read-only view of the chunks, and the verdict and
 decompose read them in place, so no 2^n-bit int is built on the check path,
 not even on failure. Only indexing the view joins a layer's chunks into one int.
@@ -59,6 +64,12 @@ def _disjoint_positions(g: SubsetMask, width: int) -> int:
     return block
 
 
+@lru_cache(maxsize=None)
+def _full_chunk(width: int) -> int:
+    """The one all-ones chunk of 2^width bits that every full chunk of that width is."""
+    return (1 << (1 << width)) - 1
+
+
 def add_member(
     table: list[int], g: SubsetMask, n: int, w: int, reach: int, overlap: bool = False
 ) -> None:
@@ -67,8 +78,10 @@ def add_member(
     table lists the 2^(n-w) chunks of layer 0, then those of layer 1, and so
     on; reach covers the chunk index of every nonzero chunk. Layer 1 gains bit g;
     each layer above takes the chunk step, its unions disjoint unless overlap.
+    A chunk that fills is stored as _full_chunk(w), and a step into it is skipped.
     """
     chunks = 1 << n - w
+    full = _full_chunk(w)
     g_hi = g >> w
     g_lo = g ^ g_hi << w
     if len(table) > 2 * chunks:  # only a layer above 1 reads these
@@ -80,6 +93,8 @@ def add_member(
     for cur in range(len(table) - chunks, chunks, -chunks):
         lo, hi = cur - chunks, cur + g_hi
         for y in ys:
+            if table[hi + y] is full:  # every position is reached: nothing to add
+                continue
             below = table[lo + y]
             if overlap:
                 # Chunk y | g_hi gathers the chunks y | s, s within g_hi. Then
@@ -95,8 +110,10 @@ def add_member(
                 for shift in shifts:
                     below |= below >> shift
             if below:
-                table[hi + y] |= (below & disj) << g_lo
-    table[chunks + g_hi] |= 1 << g_lo  # layer 0 holds only the empty set
+                new = table[hi + y] | (below & disj) << g_lo
+                table[hi + y] = full if new == full else new
+    new = table[chunks + g_hi] | 1 << g_lo  # layer 0 holds only the empty set
+    table[chunks + g_hi] = full if new == full else new
 
 
 class Layers:

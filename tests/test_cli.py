@@ -641,6 +641,19 @@ class TestUsageErrorsNamed:
         assert cli.main(["--no-meta", *(paths.get(a, a) for a in args.split())]) == 2
         assert capsys.readouterr() == ("", f"genset: {message}\n")
 
+    @pytest.mark.parametrize("args,message", [
+        # A prefix of --dp-cap: "1" is then read as the command.
+        ("--dp 1 bounds trivial -n 3 -k 2", "argument command: invalid choice: '1'"),
+        # A prefix of --k-max: the error names only what was typed.
+        ("search-min -n 3 --k 2", "unrecognized arguments: --k 2"),
+    ])
+    def test_no_prefix_of_an_option_is_taken(self, capsys, args, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--no-meta", *args.split()])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(f"genset: error: {message}")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

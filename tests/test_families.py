@@ -214,6 +214,40 @@ class TestTrivialLowerBound:
                 assert trivial_lower_bound(n, k) <= canonical_size(n, k)
 
 
+def reference_parse(text):
+    """A family file read line by line, each token through int(): the oracle for parse_family."""
+    n, masks = None, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if n is None:
+            n = int(line.partition("=")[2])
+            continue
+        where = f"line {lineno}: "
+        if line == "-":
+            masks.append(0)
+            continue
+        try:
+            elems = [int(tok) for tok in line.split(",")]
+        except ValueError:
+            raise FamilyFormatError(f"{where}bad set {line!r}")
+        if any(a >= b for a, b in zip(elems, elems[1:])):
+            raise FamilyFormatError(f"{where}elements must be strictly ascending")
+        if not all(1 <= e <= n for e in elems):
+            raise FamilyFormatError(f"{where}element out of range for n={n}")
+        masks.append(sum(1 << e - 1 for e in elems))
+    return make_family(n, masks)
+
+
+def outcome(parse, text):
+    """The family parse reads from text, or the message of the error it raises."""
+    try:
+        return parse(text)
+    except FamilyFormatError as exc:
+        return str(exc)
+
+
 class TestFamilyFileFormat:
     def test_round_trip(self):
         fam = make_family(5, [0, 0b00101, 0b11000])
@@ -243,6 +277,29 @@ class TestFamilyFileFormat:
     def test_out_of_range_element_rejected(self):
         with pytest.raises(FamilyFormatError):
             parse_family("n=3\n1,4\n")
+
+    @pytest.mark.parametrize("name", ["canonical", "random", "commented"])
+    def test_matches_a_token_by_token_parser(self, name):
+        rng = random.Random(len(name))
+        texts = {
+            "canonical": [format_family(canonical_generator(n, k)) for n, k in ((1, 1), (9, 2), (14, 3))],
+            "random": [format_family(make_family(n, [rng.getrandbits(n) for _ in range(300)]))
+                       for n in (9, 20, 62)],
+            "commented": [
+                "# c\n\nn=12  # ground set\n1,3  # a set\n\n-\n12\n1,12 # end\n",
+                "n=3\n 1,2 \n#\n2,3#\n3\n",
+            ],
+        }[name]
+        # Lines that no str(e) lookup reads: spaces, signs, leading zeros,
+        # underscores, other digits, empty tokens, order and range errors.
+        odd = ["1, 3", "01", "+2", "1_0", "\u0663", "1,,2", "2,1", "1,1", "0", "13", "-1", "x", "-,1"]
+        for text in texts:
+            assert parse_family(text) == reference_parse(text)
+            lines = text.splitlines()
+            at = next(i for i, line in enumerate(lines) if line.lstrip().startswith("n=")) + 1
+            for line in odd:
+                for edited in ("\n".join(lines[:at] + [line] + lines[at:]), f"{text}{line}\n"):
+                    assert outcome(parse_family, edited) == outcome(reference_parse, edited), line
 
     def test_mask_formatting(self):
         assert format_mask(0) == "-"

@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -269,6 +270,62 @@ class TestChunkedTable:
         assert list(reachable_layers(fam, 50)) == list(reachable_layers(fam, 9)) == whole_table(fam, 9)
         assert list(reachable_layers(fam, 50, overlap=True)) == whole_table(fam, 9, overlap=True)
         assert is_k_generator(with_empty, 3).holds and not is_k_generator(with_empty, 2).holds
+
+
+def full_chunks_are_shared(layers):
+    """Every all-ones chunk of a reachable_layers table is the one cached object of its width."""
+    full = generate._full_chunk(layers.w)
+    chunks = [c for j in range(len(layers)) for c in layers.chunks(j)]
+    assert all(c is full for c in chunks if c == full)
+    return sum(c is full for c in chunks)
+
+
+class TestFullChunks:
+    """A full chunk is one shared int, and add_member skips a step into it."""
+
+    @pytest.mark.parametrize("n,w", [(9, 4), (11, 6), (12, 9), (15, 13)])
+    def test_filled_layers_match_whole_table(self, n, w, monkeypatch):
+        # Families whose layers fill, up to k = n: canonical, relabelled
+        # canonical, and P[n] minus the empty set at k = 1..3.
+        monkeypatch.setattr(generate, "CHUNK_BITS", w)
+        rng = random.Random(900 + n)
+        cases = [(make_family(n, range(1, 1 << n)), k) for k in (1, 2, 3)]
+        for parts in (2, 3, n // 2):
+            fam = canonical_generator(n, parts)
+            cases += [(fam, k) for k in (parts, n)] + [(permuted(fam, rng), parts)]
+        filled = 0
+        for fam, k in cases:
+            for overlap in (False, True):
+                layers = reachable_layers(fam, k, overlap=overlap)
+                assert list(layers) == whole_table(fam, k, overlap)
+                assert verdict_from_layers(layers).holds
+                filled += full_chunks_are_shared(layers)
+        assert filled
+
+    @pytest.mark.parametrize("w", [3, 5, 13])
+    def test_every_full_chunk_is_the_shared_object(self, w, monkeypatch):
+        monkeypatch.setattr(generate, "CHUNK_BITS", w)
+        rng = random.Random(950 + w)
+        for fam in (canonical_generator(14, 2), permuted(canonical_generator(14, 3), rng)):
+            for overlap in (False, True):
+                # The top layer is full: one pointer per chunk.
+                assert full_chunks_are_shared(reachable_layers(fam, 14, overlap=overlap)) >= 1 << 14 - w
+
+    def test_search_width_shares_the_full_layer(self):
+        # The search adds members with w = n: one chunk per layer.
+        n = 7
+        table = [1] * 4
+        for g in canonical_generator(n, 3).members:
+            add_member(table, g, n, n, 0)
+        assert table[-1] is generate._full_chunk(n)
+
+    def test_table_of_filled_layers_stays_small(self):
+        # canonical(20,2) at k = 20: layers 2..20 are full. Each of their 128
+        # chunks is one shared 1 KiB int, so the distinct nonzero chunks take
+        # about 124 KiB, against 2.7 MiB were each chunk its own int.
+        layers = reachable_layers(canonical_generator(20, 2), 20)
+        distinct = {id(c): c for j in range(len(layers)) for c in layers.chunks(j) if c}
+        assert sum(map(sys.getsizeof, distinct.values())) < 256 << 10
 
 
 def check_reads(fam, k, overlap):
