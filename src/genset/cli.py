@@ -10,15 +10,17 @@ so a subcommand loads no other layer.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__, errors
 from .errors import CapExceeded, FamilyFormatError, GensetError
 from . import families as fam_mod
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAIL = 1
@@ -29,7 +31,10 @@ EXIT_BUDGET = 3
 CONSTRUCT_CAP = 1 << 22
 
 
+# fractions (which loads decimal and numbers) and csv are imported by the
+# helpers that use them, so search-min and check load neither.
 def _fraction(text: str) -> Fraction:
+    from fractions import Fraction
     # argparse reports a ValueError as a usage error but lets ZeroDivisionError escape.
     try:
         return Fraction(text)
@@ -39,6 +44,7 @@ def _fraction(text: str) -> Fraction:
 
 def _jsonable(value):
     """A Fraction as its rational and its float; one too large to print is refused (exit 3)."""
+    from fractions import Fraction
     if isinstance(value, Fraction):
         try:
             return {"rational": f"{value.numerator}/{value.denominator}", "approx": float(value)}
@@ -244,21 +250,26 @@ def _cmd_check(args) -> int:
 
 
 def _csv(header: list, rows) -> None:
+    import csv
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
 
 
 def _sweep_csv(reports, timed: bool) -> None:
-    """One CSV row per case; the wall-clock `seconds` column only when timed."""
+    """One CSV row per case; the wall-clock `seconds` column only when timed.
+
+    lower_bound is the bound proved on the minimum, on inconclusive rows too."""
     _csv(
-        ["n", "k", "trivial_bound", "canonical_size", "minimum", "conjecture_holds", "nodes"]
+        ["n", "k", "trivial_bound", "canonical_size", "minimum", "lower_bound",
+         "conjecture_holds", "nodes"]
         + (["seconds"] if timed else []),
         ([
             r.n, r.k,
             fam_mod.trivial_lower_bound(r.n, r.k),
             fam_mod.canonical_size(r.n, r.k),
             r.minimum if r.minimum is not None else "inconclusive",
+            r.lower_bound,
             r.conjecture_holds if r.conjecture_holds is not None else "unknown",
             r.nodes_explored,
         ] + ([f"{r.seconds:.3f}"] if timed else []) for r in reports),
@@ -287,7 +298,7 @@ def _cmd_search_min(args) -> int:
         "n": report.n, "k": report.k, "minimum": report.minimum,
         "conjecture_holds": report.conjecture_holds, "conclusive": report.conclusive,
         "lower_bound": report.lower_bound, "upper_bound": report.upper_bound,
-        "nodes": report.nodes_explored,
+        "restriction_bound": report.restriction_bound, "nodes": report.nodes_explored,
         "canonical_size": fam_mod.canonical_size(report.n, report.k),
     }
     if report.witness is not None:

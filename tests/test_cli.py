@@ -322,9 +322,29 @@ class TestSearchMin:
 
     def test_sweep_csv(self):
         proc = run_cli("--no-meta", "search-min", "--n-max", "4", "--k-max", "2")
-        lines = proc.stdout.splitlines()
-        assert lines[0].startswith("n,k,trivial_bound,canonical_size,minimum")
-        assert len(lines) == 1 + 4 + 3
+        # lower_bound is the proved bound; (4,2) starts at M(3,2) + 2 = 6.
+        assert proc.stdout.splitlines() == [
+            "n,k,trivial_bound,canonical_size,minimum,lower_bound,conjecture_holds,nodes",
+            "1,1,1,1,1,1,True,0",
+            "2,1,3,3,3,3,True,0",
+            "3,1,7,7,7,7,True,0",
+            "4,1,15,15,15,15,True,0",
+            "2,2,2,2,2,2,True,0",
+            "3,2,4,4,4,4,True,0",
+            "4,2,5,6,6,6,True,0",
+        ]
+
+    def test_sweep_csv_bounds_inconclusive_rows(self):
+        # (5,2) runs out of nodes after proving M(5,2) >= 9, and the row says
+        # so. (6,2) takes 9 as its restriction bound, starts at 9 + 2 = 11 and,
+        # on a node budget of its own, proves M(6,2) >= 12.
+        proc = run_cli("--no-meta", "--node-budget", "20", "search-min", "--n-max", "6",
+                       "--k-max", "2")
+        assert proc.returncode == 3
+        assert proc.stdout.splitlines()[-2:] == [
+            "5,2,8,10,inconclusive,9,unknown,21",
+            "6,2,11,14,inconclusive,12,unknown,21",
+        ]
 
     def test_sweep_times_cases_only_with_meta(self, capsys):
         # Wall-clock seconds would break byte-identical --no-meta reruns.
@@ -753,9 +773,11 @@ class TestCapDefaults:
         ("--dp-cap", "3", "4", ["check", "--family", "FAM", "-k", "2"]),
         ("--node-budget", "1", "100000", ["search-min", "-n", "5", "-k", "2"]),
         ("--node-budget", "1", "100000", ["search-min", "--n-max", "5", "--k-max", "2"]),
-        # The clock is read every 4096 nodes; (7,3) takes 11,733.
+        # The clock is read at each deepening target; (7,3) searches two.
         ("--time-budget", "0", "600", ["search-min", "-n", "7", "-k", "3"]),
-    ], ids=["dp-cap", "node-budget", "node-budget-sweep", "time-budget"])
+        # Its chain searches (5,2), which reads the clock before its target 8.
+        ("--time-budget", "0", "600", ["search-min", "-n", "6", "-k", "2"]),
+    ], ids=["dp-cap", "node-budget", "node-budget-sweep", "time-budget", "time-budget-chain"])
     def test_cap_flag_applies(self, capsys, fam42, flag, tight, loose, argv):
         argv = [fam42 if a == "FAM" else a for a in argv]
         for value, expected in ((tight, 3), (loose, 0)):

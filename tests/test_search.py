@@ -37,6 +37,46 @@ def oracle_minimum(n, k):
     raise AssertionError("canonical generator should have been found")
 
 
+def true_minimum(n, k):
+    """M(n, k) for n <= 6: 0 at n = 0, by the oracle to n = 5, and at n = 6 the
+    canonical size, which the deepening search certifies there."""
+    k = min(k, n)
+    if n == 0:
+        return 0
+    if k == 1:
+        return (1 << n) - 1
+    return oracle_minimum(n, k) if n <= 5 else canonical_size(n, k)
+
+
+def generators_up_to(n, k, size):
+    """Every k-generator of P[n] of at most size members, as sorted tuples.
+
+    Every k-generator holds the n singletons, so only the other members are
+    enumerated, each family once, its table grown one member at a time."""
+    full = (1 << (1 << n)) - 1
+    others = [x for x in range(1, 1 << n) if x & x - 1]
+    out = []
+
+    def walk(layers, fam, start):
+        if layers[-1] == full:
+            out.append(tuple(sorted(fam)))
+        if len(fam) < size:
+            for j in range(start, len(others)):
+                child = layers.copy()
+                add_member(child, others[j], n, n, 0)
+                walk(child, fam + [others[j]], j + 1)
+
+    layers = [1] * (k + 1)
+    for i in range(n):
+        add_member(layers, 1 << i, n, n, 0)
+    walk(layers, [1 << i for i in range(n)], 0)
+    return out
+
+
+def degree(members, i):
+    return sum(1 for h in members if h >> i & 1)
+
+
 class TestMinGeneratorSize:
     @pytest.mark.parametrize(
         "n,k,expected",
@@ -97,17 +137,29 @@ class TestMinGeneratorSize:
     @pytest.mark.parametrize(
         "n,k,nodes,witness",
         [
-            (6, 2, 1696, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48, 56]),
-            (7, 4, 396, [1, 2, 3, 4, 8, 12, 16, 32, 48, 64]),
-            (7, 3, 11733, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 64, 96]),
-            (8, 5, 1046, [1, 2, 3, 4, 8, 12, 16, 32, 48, 64, 128]),
+            pytest.param(6, 2, 126, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48, 56], id="6-2"),
+            pytest.param(7, 3, 672, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 64, 96], id="7-3"),
+            pytest.param(
+                8, 3, 1761, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48, 56, 64, 128, 192],
+                id="8-3",
+            ),
+            pytest.param(
+                9, 4, 20638, [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 64, 96, 128, 256, 384],
+                id="9-4",
+            ),
+            # M(n-1, k) + 2 is the canonical size: no target is searched.
+            pytest.param(7, 4, 0, [1, 2, 3, 4, 8, 12, 16, 32, 48, 64], id="7-4"),
+            pytest.param(8, 5, 0, [1, 2, 3, 4, 8, 12, 16, 32, 48, 64, 128], id="8-5"),
         ],
     )
     def test_search_tree_is_pinned(self, n, k, nodes, witness):
-        # The node count and the first witness found fix the branching order.
+        # The node count, the chain (k+1, k), ..., (n-1, k) included, and the
+        # first witness found fix the branching order.
         report = min_generator_size(n, k)
         assert report.nodes_explored == nodes
         assert list(report.witness.members) == witness
+        # The chain proved M(n-1, k), the canonical size there.
+        assert report.restriction_bound == canonical_size(n - 1, k)
 
     @pytest.mark.parametrize(
         "n,k",
@@ -123,15 +175,99 @@ class TestMinGeneratorSize:
         # exhaustive oracle is too slow; m is the canonical size, the minimum
         # the deepening search certifies in each of these cases. Twin classes
         # of a non-empty signature occur there.
-        if k == 1:
-            m = (1 << n) - 1
-        else:
-            m = oracle_minimum(n, k) if n <= 5 else canonical_size(n, k)
-        searcher = search._Searcher(n, k, node_budget=10**7, deadline=float("inf"))
+        # The restriction bound is the true M(n-1, k), so every element's
+        # degree is capped as tightly as the prune allows.
+        m = true_minimum(n, k) if n <= 5 else canonical_size(n, k)
+        searcher = search._Searcher(
+            n, k, node_budget=10**7, deadline=float("inf"),
+            restriction_bound=true_minimum(n - 1, k),
+        )
         found = searcher.find(m)
         assert found is not None and len(found) == m
         assert is_k_generator(SetFamily(n, tuple(sorted(found))), k).holds
         assert searcher.find(m - 1) is None
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6) for k in range(2, n + 1)])
+    def test_cut_drops_no_family_the_oracle_finds(self, monkeypatch, n, k):
+        # Let the search run on past each generator it reaches, recording it,
+        # at the minimum and one above. The leaves with the cut at the true
+        # M(n-1, k) are the leaves with no cut (L = 0 caps a degree at the
+        # target, which no member count exceeds), and every generator of at
+        # most that many members that the exhaustive oracle finds holds a
+        # leaf, up to a permutation of [n]: the cut and the twin-class rule
+        # together drop no orbit of completions.
+        dfs = search._Searcher._dfs
+        leaves = set()
+
+        def recording(self, *state):
+            found = dfs(self, *state)
+            if found is not None:
+                leaves.add(tuple(sorted(found)))
+            return None
+
+        monkeypatch.setattr(search._Searcher, "_dfs", recording)
+
+        def leaves_at(target, bound):
+            leaves.clear()
+            searcher = search._Searcher(n, k, 10**7, float("inf"), restriction_bound=bound)
+            assert searcher.find(target) is None
+            return set(leaves)
+
+        perms = list(itertools.permutations(range(n)))
+
+        def images(fam):
+            return {
+                frozenset(sum(1 << p[e] for e in range(n) if h >> e & 1) for h in fam)
+                for p in perms
+            }
+
+        m = true_minimum(n, k)
+        for target in (m, m + 1):
+            cut = leaves_at(target, true_minimum(n - 1, k))
+            assert cut and cut == leaves_at(target, 0)
+            seen = set().union(*map(images, cut))
+            for fam in generators_up_to(n, k, target):
+                # A leaf has at least m members, so it is fam or fam less one member.
+                subs = [fam] + [fam[:i] + fam[i + 1:] for i in range(len(fam))] * (len(fam) > m)
+                assert any(frozenset(sub) in seen for sub in subs), fam
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_degree_premise_by_brute_force(self, n):
+        # The members of a k-generator that avoid element i generate
+        # P([n] minus i), so deg(i) <= |G| - M(n-1, k): checked on every
+        # k-generator of P[n], each family of subsets of [n] once.
+        for k in range(1, n + 1):
+            gens = generators_up_to(n, k, (1 << n) - 1)
+            assert len(gens) >= 1
+            for fam in gens:
+                assert max(degree(fam, i) for i in range(n)) <= len(fam) - true_minimum(n - 1, k)
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (7, 4), (8, 5), (10, 6), (12, 6)])
+    def test_no_search_where_the_recursive_bound_meets_the_canonical_size(self, n, k):
+        # M(n, k) >= M(n-1, k) + 2 for k < n: an element of a member of two or
+        # more elements also lies in its own singleton.
+        report = min_generator_size(n, k)
+        assert report.nodes_explored == 0 and report.conclusive
+        assert report.minimum == report.restriction_bound + 2 == canonical_size(n, k)
+
+    @pytest.mark.parametrize("n,k,budget", [(9, 4, 25_000), (10, 4, 60_000)])
+    def test_conclusive_within_a_node_budget(self, n, k, budget):
+        # Before the restriction prune, (9,4) was inconclusive at 600 s and
+        # (10,4) at 20 s.
+        report = min_generator_size(n, k, node_budget=budget)
+        assert report.conclusive
+        assert report.minimum == canonical_size(n, k)
+
+    def test_chain_bound_is_proved_when_the_chain_runs_out(self):
+        # (8,3)'s chain runs out of nodes in (7,3), after target 11 found
+        # nothing. M(7,3) >= 12 is still proved, so (8,3) starts at 14, above
+        # its counting bound 12, and no node is spent past the budget's first.
+        inner = min_generator_size(7, 3, node_budget=100)
+        report = min_generator_size(8, 3, node_budget=100)
+        assert not inner.conclusive and not report.conclusive
+        assert report.nodes_explored == inner.nodes_explored == 101
+        assert report.restriction_bound == inner.lower_bound == 12
+        assert report.lower_bound == 14 > trivial_lower_bound(8, 3) == 12
 
     def test_9_5_is_conclusive_within_a_node_budget(self):
         # The budget is counted in nodes, not seconds, so this is deterministic.
@@ -153,13 +289,24 @@ class TestVerifyConjectureRange:
     def test_shared_candidate_memo_changes_no_search_tree(self):
         # The sweep's cases share one memo of canonical candidates; each
         # separate search here starts from an empty one.
+        # Given the bound the sweep passed it, a search runs no chain.
         search._canonical_candidates.cache_clear()
         swept = verify_conjecture_range(6, 4)
         for rep in swept:
             search._canonical_candidates.cache_clear()
-            alone = min_generator_size(rep.n, rep.k)
+            alone = min_generator_size(rep.n, rep.k, restriction_bound=rep.restriction_bound)
             assert (alone.nodes_explored, alone.witness) == (rep.nodes_explored, rep.witness)
         assert len(swept) == 6 + 5 + 4 + 3
+
+    def test_each_case_takes_the_bound_proved_below_it(self):
+        reports = verify_conjecture_range(6, 3)
+        for before, rep in zip(reports, reports[1:]):
+            if rep.k == before.k and rep.n >= rep.k + 2:
+                assert rep.restriction_bound == before.lower_bound
+            else:
+                assert rep.restriction_bound == rep.n - 1
+        # A single search proves the same bound by its own chain.
+        assert min_generator_size(6, 3).restriction_bound == reports[-1].restriction_bound == 7
 
     def test_inconclusive_entries_propagate(self):
         reports = verify_conjecture_range(5, 2, node_budget=3)
@@ -204,23 +351,32 @@ class TestSearchInvariants:
         # one below. Twin classes of a non-empty signature must show up within
         # x, or this would test only the free-element rule.
         dfs = search._Searcher._dfs
-        within_x = []
+        within_x, saturated = [], []
 
-        def checked(self, layers, chosen, skip, twins, pairs):
+        def checked(self, layers, chosen, skip, twins, pairs, sat):
             assert pairs == disjoint_pairs(chosen)
             assert set(twins) == twin_classes(n, chosen) and len(twins) == len(set(twins))
+            # No element lies in more than cap members, and the saturated
+            # ones are those in exactly cap.
+            degrees = [degree(chosen, i) for i in range(n)]
+            assert max(degrees, default=0) <= self.cap
+            assert sat == sum(1 << i for i in range(n) if degrees[i] == self.cap)
+            saturated.append(sat)
             x = search._smallest_missing(layers[-1], n) or 0
             within_x.extend(
                 c & x for c in twins
                 if (c & x) & (c & x) - 1 and any(h & h - 1 and h & c for h in chosen)
             )
-            return dfs(self, layers, chosen, skip, twins, pairs)
+            return dfs(self, layers, chosen, skip, twins, pairs, sat)
 
         monkeypatch.setattr(search._Searcher, "_dfs", checked)
         m = canonical_size(n, k)
-        searcher = search._Searcher(n, k, node_budget=10**7, deadline=float("inf"))
+        searcher = search._Searcher(
+            n, k, node_budget=10**7, deadline=float("inf"),
+            restriction_bound=canonical_size(n - 1, k),
+        )
         assert searcher.find(m) is not None and searcher.find(m - 1) is None
-        assert within_x
+        assert within_x and any(saturated)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_canonical_candidates_meet_every_orbit(self, seed):

@@ -140,6 +140,8 @@ class TestStartupLoadsOnlyWhatRuns:
         assert status == 0 and lines
         assert {"genset.families", "genset.generate"} <= modules
         assert not modules & (RECORD_MODULES | {"genset.graphs", "genset.bounds", "mpmath"})
+        # fractions loads decimal and numbers; neither it nor csv is used here.
+        assert not modules & {"fractions", "csv"}
 
     def test_clique_count_leaves_out_bounds(self, fam42):
         status, lines, modules = loaded_after(
